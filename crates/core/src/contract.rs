@@ -82,6 +82,22 @@ pub const MAX_INCOMING: usize = 8;
 /// `n = 6` is the flip-term ancilla simulation, not the transfer.
 pub const MAX_JOINT_WIRES: usize = 6;
 
+/// Decodes `index` into mixed-radix odometer digits, digit `i` in radix
+/// `radix(i)`, with the **last digit fastest** — the term order of
+/// [`qpd::QpdSpec::product`] over groups and of
+/// [`crate::multi::ParallelWireCut`] over wires.
+pub(crate) fn decode_odometer(
+    mut index: usize,
+    digits: &mut [usize],
+    radix: impl Fn(usize) -> usize,
+) {
+    for (i, digit) in digits.iter_mut().enumerate().rev() {
+        let r = radix(i);
+        *digit = index % r;
+        index /= r;
+    }
+}
+
 /// Magnitude below which a folded block-tensor entry is dropped when
 /// sparsifying to CSR. Well under every differential tolerance in the
 /// suite (1e−8 against monolithic, 1e−12 cached-vs-uncached) and above
@@ -530,14 +546,7 @@ impl FragmentBlocks {
                     Some(StateVector::from_amplitudes(width, amps))
                 };
                 let sampler = CompiledSampler::compile(&c, input.as_ref());
-                let prefix = sampler.clifford_prefix();
-                backend.terms += 1;
-                if prefix.prefix_len > 0 {
-                    backend.hybrid_terms += 1;
-                }
-                backend.total_instructions += prefix.total;
-                backend.clifford_instructions += prefix.prefix_len;
-                backend.gates_fused += sampler.fusion_stats().gates_fused;
+                backend.record(&sampler);
                 // Measurement fragments branch over classical outcomes;
                 // the channel expectation is the probability-weighted
                 // sum over the branch leaves (one sub-block per
@@ -694,15 +703,11 @@ impl FragmentBlocks {
         );
         match &self.transfers[gi] {
             GroupTransfer::PerWire { wires, per_term } => {
-                let n = per_term.len();
-                let mut rem = t;
-                let mut idx = vec![0usize; *wires];
-                // Last wire fastest — ParallelWireCut order.
-                for slot in (0..*wires).rev() {
-                    idx[slot] = rem % n;
-                    rem /= n;
-                }
-                for (slot, &ti) in idx.iter().enumerate() {
+                // A group's wires all enter one fragment, so there are at
+                // most MAX_INCOMING of them.
+                let mut idx = [0usize; MAX_INCOMING];
+                decode_odometer(t, &mut idx[..*wires], |_| per_term.len());
+                for (slot, &ti) in idx[..*wires].iter().enumerate() {
                     apply_axis_4(vals, axes[slot], &per_term[ti]);
                 }
                 *wires
@@ -939,14 +944,9 @@ fn build_fused_tail(
         let mut w = tail.clone();
         match &transfers[last] {
             GroupTransfer::PerWire { wires, per_term } => {
-                let n = per_term.len();
-                let mut rem = t;
-                let mut idx = vec![0usize; *wires];
-                for slot in (0..*wires).rev() {
-                    idx[slot] = rem % n;
-                    rem /= n;
-                }
-                for (slot, &ti) in idx.iter().enumerate() {
+                let mut idx = [0usize; MAX_INCOMING];
+                decode_odometer(t, &mut idx[..*wires], |_| per_term.len());
+                for (slot, &ti) in idx[..*wires].iter().enumerate() {
                     let m = &per_term[ti];
                     let mut mt = [[0.0f64; 4]; 4];
                     for (a, row) in m.iter().enumerate() {
@@ -1161,12 +1161,8 @@ mod tests {
         assert_eq!(spec.len(), total);
         let mut value = 0.0;
         for combo in 0..total {
-            let mut rem = combo;
             let mut pick = vec![0usize; lens.len()];
-            for g in (0..lens.len()).rev() {
-                pick[g] = rem % lens[g];
-                rem /= lens[g];
-            }
+            decode_odometer(combo, &mut pick, |g| lens[g]);
             value += spec.terms()[combo].coefficient * blocks.term_value(&pick);
         }
         let uncut = crate::planner::uncut_plan_expectation(&c, &obs);
@@ -1224,12 +1220,8 @@ mod tests {
         let total: usize = lens.iter().product();
         let mut sweep = blocks.sweep();
         for combo in 0..total {
-            let mut rem = combo;
             let mut pick = vec![0usize; lens.len()];
-            for g in (0..lens.len()).rev() {
-                pick[g] = rem % lens[g];
-                rem /= lens[g];
-            }
+            decode_odometer(combo, &mut pick, |g| lens[g]);
             let cached = sweep.term_value(&pick);
             let fresh = blocks.term_value(&pick);
             assert!(

@@ -13,6 +13,7 @@
 //! measurement (`2^{n+1} − 1 < 3ⁿ`); [`PreparedMultiCut`] is the shared
 //! compilation target for both.
 
+use crate::planner::{leaf_parity_expectation, z_mask};
 use crate::term::{CutTerm, WireCut};
 use qpd::{QpdSpec, TermSampler, TermSpec};
 use qsim::{Circuit, CompiledSampler, PauliString};
@@ -168,28 +169,8 @@ impl PreparedMultiTerm {
         circuit.compose_mapped(input_prep, &term.input_qubits, &cmap);
         circuit.compose(&term.circuit);
         let sampler = CompiledSampler::compile(&circuit, None);
-        let mut z_mask = 0usize;
-        for (w, &q) in term.output_qubits.iter().enumerate() {
-            if observable.op(w) == qsim::Pauli::Z {
-                z_mask |= 1 << q;
-            }
-        }
-        let exact = sampler
-            .leaves()
-            .iter()
-            .map(|l| {
-                let mut acc = 0.0;
-                for (idx, p) in l.state.probabilities().iter().enumerate() {
-                    let sign = if (idx & z_mask).count_ones().is_multiple_of(2) {
-                        1.0
-                    } else {
-                        -1.0
-                    };
-                    acc += sign * p;
-                }
-                l.probability * acc
-            })
-            .sum();
+        let z_mask = z_mask(observable, term.output_qubits.iter().copied());
+        let exact = leaf_parity_expectation(&sampler, z_mask);
         Self {
             sampler,
             z_mask,

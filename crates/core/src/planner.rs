@@ -29,11 +29,13 @@
 //!    6+ cuts compile where stitching blows up. The **monolithic** path
 //!    ([`CompiledPlan::compile_monolithic`]) stitches one circuit per
 //!    combination of per-group QPD terms (carrier-qubit threading
-//!    through [`Circuit::compose_mapped`]) and stays as the pristine
-//!    differential-testing reference, mirroring how `compile_dense`
-//!    fences the hybrid sampler. Both ride the [`CompiledSampler`]
-//!    branch-tree machinery and the batched [`TermSampler`] estimate
-//!    path; the plan-level coefficient structure is the product QPD
+//!    through [`Circuit::compose_mapped`]), reads the term's exact value
+//!    off the [`CompiledSampler`] branch tree and drops the circuit; it
+//!    stays as the pristine differential-testing reference, mirroring
+//!    how `compile_dense` fences the hybrid sampler. Either way a plan
+//!    term is one exact value, sampled as a [`PlanTerm`] Bernoulli draw
+//!    on ±1 (the paper's Eq. 12–13 estimator needs nothing more); the
+//!    plan-level coefficient structure is the product QPD
 //!    [`QpdSpec::product`], so `κ(plan) = Π κ(group)` and the stock
 //!    `qpd` allocators spread shots across all cuts at once.
 //!
@@ -44,7 +46,9 @@
 //! the exhaustive product-spec check stays behind the test-only
 //! [`CompiledPlan::verify`] helper, whose cost grows as `Π terms`.
 
-use crate::contract::{contraction_ineligibility, FragmentBlockSummary, FragmentBlocks};
+use crate::contract::{
+    contraction_ineligibility, decode_odometer, FragmentBlockSummary, FragmentBlocks,
+};
 use crate::joint::JointWireCut;
 use crate::mub;
 use crate::multi::{MultiCutTerm, ParallelWireCut};
@@ -52,13 +56,11 @@ use crate::nme::NmeCut;
 use crate::term::WireCut;
 use qpd::{QpdSpec, TermSampler};
 use qsim::{fragments_by_width, Circuit, CompiledSampler, Fragment, Instruction, Op, PauliString};
-use rand::Rng;
 
 /// The crossover overlap `f*(n) = 2/((2^{n+1} − 1)^{1/n} + 1)`:
 /// independent `|Φ_k⟩` cuts beat (or tie) the joint MUB cut exactly when
-/// `f ≥ f*(n)`. Mirrors `experiments::joint_scaling::crossover_overlap`
-/// (pinned equal in the integration tests); duplicated here because the
-/// planner sits below the experiments crate in the dependency order.
+/// `f ≥ f*(n)`. The one definition: the planner's protocol choice and
+/// the E13 crossover table (`experiments::joint_scaling`) both read it.
 pub fn crossover_overlap(n: usize) -> f64 {
     assert!(n >= 1);
     let gamma_star = ((2u64 << n) - 1) as f64;
@@ -486,138 +488,13 @@ impl CutPlanner {
     }
 }
 
-/// How one compiled plan term is evaluated.
-enum TermBody {
-    /// The stitched monolithic circuit for one combination of per-group
-    /// QPD terms, with a diagonal parity observable over the final
-    /// carrier qubits.
-    Stitched {
-        sampler: CompiledSampler,
-        z_mask: usize,
-        num_qubits: usize,
-    },
-    /// The term's exact expectation came from the per-fragment tensor
-    /// contraction; the ±1 parity draw is a Bernoulli over it. This is
-    /// *distributionally identical* to the stitched term: a stitched
-    /// draw is ±1 with `P(+1) = (1 + ⟨O⟩)/2` no matter how the branch
-    /// tree decomposes it (the sum of per-leaf binomials over a
-    /// multinomial collapses to one binomial).
-    Contracted,
-}
-
-/// One compiled plan term for one combination of per-group QPD terms.
-/// Samples through the same batched-binomial path as
-/// [`crate::multi::PreparedMultiCut`].
-pub struct PlanTerm {
-    body: TermBody,
-    exact: f64,
-}
-
-impl PlanTerm {
-    /// `true` when this term is evaluated by tensor contraction instead
-    /// of a stitched circuit.
-    pub fn is_contracted(&self) -> bool {
-        matches!(self.body, TermBody::Contracted)
-    }
-
-    /// Number of qubits of the stitched circuit (`None` for contracted
-    /// terms, which have no single circuit).
-    pub fn num_qubits(&self) -> Option<usize> {
-        match &self.body {
-            TermBody::Stitched { num_qubits, .. } => Some(*num_qubits),
-            TermBody::Contracted => None,
-        }
-    }
-
-    /// The Clifford prefix of this term's stitched circuit that compiled
-    /// onto the stabilizer tableau (zero-length when the term ran
-    /// all-dense; `None` for contracted terms — their backend split is
-    /// aggregated per fragment variant in the plan's
-    /// [`CompiledPlan::backend_report`]).
-    pub fn clifford_prefix(&self) -> Option<qsim::CliffordPrefix> {
-        match &self.body {
-            TermBody::Stitched { sampler, .. } => Some(sampler.clifford_prefix()),
-            TermBody::Contracted => None,
-        }
-    }
-
-    /// Single-qubit fusion summary for this term's dense portion
-    /// (`None` for contracted terms).
-    pub fn fusion_stats(&self) -> Option<qsim::FusionStats> {
-        match &self.body {
-            TermBody::Stitched { sampler, .. } => Some(sampler.fusion_stats()),
-            TermBody::Contracted => None,
-        }
-    }
-}
-
-impl TermSampler for PlanTerm {
-    fn sample_observable(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        match &self.body {
-            TermBody::Stitched {
-                sampler,
-                z_mask,
-                num_qubits,
-            } => {
-                let leaf = sampler.sample_leaf(rng);
-                let idx = leaf.state.sample_z_basis(rng);
-                debug_assert!(idx < (1 << num_qubits));
-                if (idx & z_mask).count_ones().is_multiple_of(2) {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-            TermBody::Contracted => {
-                let p_plus = (1.0 + self.exact) / 2.0;
-                if rng.gen::<f64>() < p_plus {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-        }
-    }
-
-    fn sample_observable_sum(&self, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
-        match &self.body {
-            TermBody::Stitched {
-                sampler, z_mask, ..
-            } => {
-                // One multinomial over branch leaves, then a parity
-                // binomial per occupied leaf — identical to the
-                // multi-cut batched path.
-                let counts = sampler.sample_batch(shots, rng);
-                let mut sum = 0.0;
-                for (leaf, &n) in sampler.leaves().iter().zip(counts.iter()) {
-                    if n == 0 {
-                        continue;
-                    }
-                    let p_plus: f64 = leaf
-                        .state
-                        .probabilities()
-                        .iter()
-                        .enumerate()
-                        .filter(|(idx, _)| (idx & z_mask).count_ones().is_multiple_of(2))
-                        .map(|(_, p)| p)
-                        .sum();
-                    let plus = qsample::binomial(n, p_plus.clamp(0.0, 1.0), rng);
-                    sum += 2.0 * plus as f64 - n as f64;
-                }
-                sum
-            }
-            TermBody::Contracted => {
-                let p_plus = ((1.0 + self.exact) / 2.0).clamp(0.0, 1.0);
-                let plus = qsample::binomial(shots, p_plus, rng);
-                2.0 * plus as f64 - shots as f64
-            }
-        }
-    }
-
-    fn exact_expectation(&self) -> f64 {
-        self.exact
-    }
-}
+/// One compiled plan term: its exact expectation, sampled as a ±1
+/// Bernoulli draw with `P(+1) = (1 + exact)/2`. That is all the paper's
+/// estimator (Eq. 12–13) asks of a term, and it is exactly the law of
+/// sampling the stitched term circuit: the circuit's per-leaf parity
+/// binomials over a multinomial of branch leaves sum to one binomial at
+/// the same `P(+1)`. So neither backend keeps a circuit per term.
+pub type PlanTerm = qpd::BernoulliTerm;
 
 /// Which compilation strategy produced a [`CompiledPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -665,14 +542,28 @@ pub struct BackendReport {
 }
 
 impl BackendReport {
-    /// Fraction of stitched instructions on the stabilizer fast path
-    /// (1.0 for an empty plan, which trivially has no dense work).
+    /// Fraction of the compiled units' instructions on the stabilizer
+    /// fast path (1.0 for an empty plan, which trivially has no dense
+    /// work).
     pub fn clifford_fraction(&self) -> f64 {
         if self.total_instructions == 0 {
             1.0
         } else {
             self.clifford_instructions as f64 / self.total_instructions as f64
         }
+    }
+
+    /// Counts one compiled circuit unit: its Clifford-prefix split and
+    /// fusion summary.
+    pub(crate) fn record(&mut self, sampler: &CompiledSampler) {
+        let prefix = sampler.clifford_prefix();
+        self.terms += 1;
+        if prefix.prefix_len > 0 {
+            self.hybrid_terms += 1;
+        }
+        self.total_instructions += prefix.total;
+        self.clifford_instructions += prefix.prefix_len;
+        self.gates_fused += sampler.fusion_stats().gates_fused;
     }
 }
 
@@ -738,46 +629,32 @@ impl CompiledPlan {
         for (len, gs) in lens.iter().zip(group_specs.iter()) {
             assert_eq!(*len, gs.len(), "group transfer/spec term mismatch");
         }
-        let total: usize = lens.iter().product();
-        assert_eq!(spec.len(), total);
-        let mut terms = Vec::with_capacity(total);
         let mut sweep = blocks.sweep();
-        // Row-major enumeration, last group fastest — the same order
-        // `QpdSpec::product` uses, so coefficients line up and every
+        // `QpdSpec::product` order, so coefficients line up and every
         // consecutive pair of picks shares the longest possible prefix.
-        for combo_idx in 0..total {
-            let mut rem = combo_idx;
-            let mut pick = vec![0usize; lens.len()];
-            for g in (0..lens.len()).rev() {
-                pick[g] = rem % lens[g];
-                rem /= lens[g];
-            }
-            terms.push(PlanTerm {
-                body: TermBody::Contracted,
-                exact: sweep.term_value(&pick),
-            });
-        }
+        let mut pick = vec![0usize; lens.len()];
+        let terms = (0..spec.len())
+            .map(|i| {
+                decode_odometer(i, &mut pick, |g| lens[g]);
+                PlanTerm {
+                    expectation: sweep.term_value(&pick),
+                }
+            })
+            .collect();
         let stats = sweep.stats();
         let mut backend_report = blocks.backend_report();
         backend_report.frontier_ops = stats.frontier_ops;
         backend_report.frontier_ops_uncached = stats.frontier_ops_uncached;
         backend_report.prefix_hits = stats.prefix_hits;
         backend_report.prefix_rebuilds = stats.prefix_rebuilds;
-        let compiled = Self {
+        Self::assemble(
+            plan,
             spec,
             terms,
-            report: plan.report(),
-            backend: PlanBackend::Contracted,
+            PlanBackend::Contracted,
             backend_report,
-            fragment_summaries: blocks.summaries().to_vec(),
-            fallback_reason: None,
-        };
-        if cfg!(debug_assertions) {
-            compiled
-                .verify_groups(1e-8)
-                .expect("compiled plan failed group verification");
-        }
-        compiled
+            blocks.summaries().to_vec(),
+        )
     }
 
     /// The **monolithic** backend: stitches one carrier-threaded circuit
@@ -799,53 +676,60 @@ impl CompiledPlan {
             observable.is_diagonal(),
             "plan estimator supports diagonal (Z/I) observables"
         );
-        let (spec, terms) = if plan.groups.is_empty() {
-            // Nothing to cut: a single unit-coefficient term.
-            let spec = QpdSpec::from_parts(&[(1.0, "uncut", 0.0)]);
-            let terms = vec![compile_combo(plan, &[], observable)];
-            (spec, terms)
-        } else {
-            let group_terms: Vec<Vec<MultiCutTerm>> =
-                plan.groups.iter().map(|g| g.terms()).collect();
-            let group_specs: Vec<QpdSpec> = plan.groups.iter().map(|g| g.spec()).collect();
-            let spec = QpdSpec::product(&group_specs);
-            let lens: Vec<usize> = group_terms.iter().map(|t| t.len()).collect();
-            let total: usize = lens.iter().product();
-            assert_eq!(spec.len(), total);
-            let mut terms = Vec::with_capacity(total);
-            // Row-major enumeration, last group fastest — the same order
-            // `QpdSpec::product` uses, so coefficients line up.
-            for combo_idx in 0..total {
-                let mut rem = combo_idx;
-                let mut picked: Vec<&MultiCutTerm> = vec![&group_terms[0][0]; lens.len()];
-                for g in (0..lens.len()).rev() {
-                    picked[g] = &group_terms[g][rem % lens[g]];
-                    rem /= lens[g];
-                }
-                terms.push(compile_combo(plan, &picked, observable));
-            }
-            (spec, terms)
-        };
-        let mut backend_report = BackendReport {
-            terms: terms.len(),
-            ..BackendReport::default()
-        };
-        for t in &terms {
-            let p = t.clifford_prefix().expect("stitched term has a circuit");
-            if p.prefix_len > 0 {
-                backend_report.hybrid_terms += 1;
-            }
-            backend_report.total_instructions += p.total;
-            backend_report.clifford_instructions += p.prefix_len;
-            backend_report.gates_fused += t.fusion_stats().expect("stitched term").gates_fused;
+        let group_terms: Vec<Vec<MultiCutTerm>> = plan.groups.iter().map(|g| g.terms()).collect();
+        let group_specs: Vec<QpdSpec> = plan.groups.iter().map(|g| g.spec()).collect();
+        for (ts, gs) in group_terms.iter().zip(group_specs.iter()) {
+            assert_eq!(ts.len(), gs.len(), "group term/spec mismatch");
         }
+        let spec = if plan.groups.is_empty() {
+            // Nothing to cut: a single unit-coefficient term.
+            QpdSpec::from_parts(&[(1.0, "uncut", 0.0)])
+        } else {
+            QpdSpec::product(&group_specs)
+        };
+        let mut backend_report = BackendReport::default();
+        let mut pick = vec![0usize; group_terms.len()];
+        let terms = (0..spec.len())
+            .map(|i| {
+                decode_odometer(i, &mut pick, |g| group_terms[g].len());
+                PlanTerm {
+                    expectation: compile_combo(
+                        plan,
+                        &group_terms,
+                        &pick,
+                        observable,
+                        &mut backend_report,
+                    ),
+                }
+            })
+            .collect();
+        Self::assemble(
+            plan,
+            spec,
+            terms,
+            PlanBackend::Monolithic,
+            backend_report,
+            Vec::new(),
+        )
+    }
+
+    /// The compile tail both backends share: the plan struct, verified
+    /// per cut group in debug/test builds.
+    fn assemble(
+        plan: &CutPlan,
+        spec: QpdSpec,
+        terms: Vec<PlanTerm>,
+        backend: PlanBackend,
+        backend_report: BackendReport,
+        fragment_summaries: Vec<FragmentBlockSummary>,
+    ) -> Self {
         let compiled = Self {
             spec,
             terms,
             report: plan.report(),
-            backend: PlanBackend::Monolithic,
+            backend,
             backend_report,
-            fragment_summaries: Vec::new(),
+            fragment_summaries,
             fallback_reason: None,
         };
         if cfg!(debug_assertions) {
@@ -874,7 +758,7 @@ impl CompiledPlan {
 
     /// Exact per-term expectations, aligned with [`CompiledPlan::spec`].
     pub fn exact_terms(&self) -> Vec<f64> {
-        self.terms.iter().map(|t| t.exact_expectation()).collect()
+        self.terms.iter().map(|t| t.expectation).collect()
     }
 
     /// The plan's γ/κ overhead report.
@@ -974,12 +858,26 @@ impl CompiledPlan {
     }
 }
 
-/// Stitches one monolithic circuit for one per-group term combination:
-/// original instructions are threaded through per-wire *carrier* qubits,
-/// and at each group's boundary the picked term circuit is spliced in
-/// (term inputs ↦ current carriers, everything else ↦ fresh qubits,
-/// term outputs become the new carriers).
-fn compile_combo(plan: &CutPlan, picked: &[&MultiCutTerm], observable: &PauliString) -> PlanTerm {
+/// Stitches one monolithic circuit for one per-group term combination
+/// (`pick[g]` indexes `group_terms[g]`): original instructions are
+/// threaded through per-wire *carrier* qubits, and at each group's
+/// boundary the picked term circuit is spliced in (term inputs ↦ current
+/// carriers, everything else ↦ fresh qubits, term outputs become the new
+/// carriers). Returns the term's exact expectation; the compiled
+/// circuit's backend split is counted into `report`, and the circuit
+/// itself is dropped.
+fn compile_combo(
+    plan: &CutPlan,
+    group_terms: &[Vec<MultiCutTerm>],
+    pick: &[usize],
+    observable: &PauliString,
+    report: &mut BackendReport,
+) -> f64 {
+    let picked: Vec<&MultiCutTerm> = group_terms
+        .iter()
+        .zip(pick)
+        .map(|(ts, &t)| &ts[t])
+        .collect();
     let circuit = plan.circuit();
     let n0 = circuit.num_qubits();
     let extra_qubits: usize = picked
@@ -987,8 +885,7 @@ fn compile_combo(plan: &CutPlan, picked: &[&MultiCutTerm], observable: &PauliStr
         .map(|t| t.circuit.num_qubits() - t.input_qubits.len())
         .sum();
     let extra_clbits: usize = picked.iter().map(|t| t.circuit.num_clbits()).sum();
-    let total_qubits = n0 + extra_qubits;
-    let mut out = Circuit::new(total_qubits, circuit.num_clbits() + extra_clbits);
+    let mut out = Circuit::new(n0 + extra_qubits, circuit.num_clbits() + extra_clbits);
     let mut carrier: Vec<usize> = (0..n0).collect();
     let mut q_next = n0;
     let mut c_next = circuit.num_clbits();
@@ -1020,36 +917,8 @@ fn compile_combo(plan: &CutPlan, picked: &[&MultiCutTerm], observable: &PauliStr
         }
     }
     let sampler = CompiledSampler::compile(&out, None);
-    let mut z_mask = 0usize;
-    for (w, &q) in carrier.iter().enumerate() {
-        if observable.op(w) == qsim::Pauli::Z {
-            z_mask |= 1 << q;
-        }
-    }
-    let exact = sampler
-        .leaves()
-        .iter()
-        .map(|l| {
-            let mut acc = 0.0;
-            for (idx, p) in l.state.probabilities().iter().enumerate() {
-                let sign = if (idx & z_mask).count_ones().is_multiple_of(2) {
-                    1.0
-                } else {
-                    -1.0
-                };
-                acc += sign * p;
-            }
-            l.probability * acc
-        })
-        .sum();
-    PlanTerm {
-        body: TermBody::Stitched {
-            sampler,
-            z_mask,
-            num_qubits: total_qubits,
-        },
-        exact,
-    }
+    report.record(&sampler);
+    leaf_parity_expectation(&sampler, z_mask(observable, carrier))
 }
 
 /// Remaps one original-circuit instruction through the current carriers.
@@ -1076,12 +945,23 @@ pub fn uncut_plan_expectation(circuit: &Circuit, observable: &PauliString) -> f6
     assert_eq!(observable.num_qubits(), circuit.num_qubits());
     assert!(observable.is_diagonal());
     let sampler = CompiledSampler::compile(circuit, None);
-    let mut z_mask = 0usize;
-    for q in 0..circuit.num_qubits() {
-        if observable.op(q) == qsim::Pauli::Z {
-            z_mask |= 1 << q;
-        }
-    }
+    leaf_parity_expectation(&sampler, z_mask(observable, 0..circuit.num_qubits()))
+}
+
+/// Bit mask over a register selecting the qubits that carry a `Z` of
+/// `observable`, whose wire `w` lives on register qubit `qubits[w]`.
+pub(crate) fn z_mask(observable: &PauliString, qubits: impl IntoIterator<Item = usize>) -> usize {
+    qubits
+        .into_iter()
+        .enumerate()
+        .filter(|&(w, _)| observable.op(w) == qsim::Pauli::Z)
+        .fold(0, |mask, (_, q)| mask | 1 << q)
+}
+
+/// Exact expectation of the parity observable `z_mask` over a compiled
+/// sampler's branch leaves: `Σ_leaf P(leaf)·Σ_idx (−1)^{|idx ∧ mask|}·p(idx)`,
+/// summed in leaf order, then index order.
+pub(crate) fn leaf_parity_expectation(sampler: &CompiledSampler, z_mask: usize) -> f64 {
     sampler
         .leaves()
         .iter()
@@ -1237,15 +1117,11 @@ mod tests {
         let compiled = CompiledPlan::compile_monolithic(&plan, &obs);
         assert_eq!(compiled.backend(), PlanBackend::Monolithic);
         let r = compiled.backend_report();
-        assert_eq!(r.terms, compiled.plan_terms().len());
+        assert_eq!(r.terms, compiled.spec.len());
+        assert!(r.hybrid_terms <= r.terms);
         assert!(r.total_instructions > 0);
+        assert!(r.clifford_instructions <= r.total_instructions);
         assert!(r.clifford_fraction() >= 0.0 && r.clifford_fraction() <= 1.0);
-        let prefix_sum: usize = compiled
-            .plan_terms()
-            .iter()
-            .map(|t| t.clifford_prefix().unwrap().prefix_len)
-            .sum();
-        assert_eq!(prefix_sum, r.clifford_instructions);
         // An all-Clifford circuit compiles to a plan whose uncut single
         // term is fully on the fast path.
         let mut cliff = Circuit::new(2, 0);
@@ -1259,6 +1135,25 @@ mod tests {
             r.clifford_fraction()
         );
         assert_eq!(r.hybrid_terms, r.terms);
+    }
+
+    #[test]
+    fn plan_terms_are_one_exact_value_each() {
+        // Neither backend keeps a circuit per term: a term is its exact
+        // value, a valid ±1 expectation, and nothing else.
+        assert_eq!(std::mem::size_of::<PlanTerm>(), 8);
+        let c = ladder(4);
+        let obs = PauliString::from_label("ZZZZ");
+        let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
+        for compiled in [
+            CompiledPlan::compile_contracted(&plan, &obs),
+            CompiledPlan::compile_monolithic(&plan, &obs),
+        ] {
+            assert_eq!(compiled.plan_terms().len(), compiled.spec.len());
+            for t in compiled.plan_terms() {
+                assert!(t.expectation.abs() <= 1.0 + 1e-9, "{t:?}");
+            }
+        }
     }
 
     #[test]
@@ -1371,7 +1266,6 @@ mod tests {
         let auto = CompiledPlan::compile(&plan, &obs);
         assert_eq!(auto.backend(), PlanBackend::Contracted);
         assert_eq!(auto.fragment_summaries().len(), plan.fragments.len());
-        assert!(auto.plan_terms().iter().all(|t| t.is_contracted()));
         let mono = CompiledPlan::compile_monolithic(&plan, &obs);
         assert_eq!(auto.spec.len(), mono.spec.len());
         for (a, m) in auto.exact_terms().iter().zip(mono.exact_terms()) {

@@ -4,8 +4,9 @@
 //! engine accepting estimation requests — circuit + observable + shot
 //! budget + seed — from many concurrent clients, where the expensive
 //! work (planning and compiling a [`CompiledPlan`]: MUB construction,
-//! term stitching, per-term statevector simulation) is paid **once per
-//! distinct plan** and every repeat request only pays for sampling.
+//! per-fragment block simulation, the contraction sweep that yields one
+//! exact value per product term) is paid **once per distinct plan** and
+//! every repeat request only pays for sampling.
 //!
 //! * **Compiled-plan cache** — requests are content-hashed into a
 //!   [`PlanKey`] ([`CutPlanner::plan_key`]); compiled plans live behind a

@@ -9,7 +9,7 @@
 //! The sweep axis is the resource overlap `f`: each grid row shows how
 //! the planner's protocol mix (NME teleportation vs joint MUB
 //! measure-and-prepare, chosen per group from the κ crossover
-//! `f*(n)` — [`crate::joint_scaling::crossover_overlap`]) and the plan
+//! `f*(n)` — [`wirecut::planner::crossover_overlap`]) and the plan
 //! overhead `κ = Π κ(group)` respond to the available entanglement,
 //! while `plan_exact_dev` pins the compiled decomposition to the uncut
 //! value exactly (≈ 1e−15, the planner's defining identity).

@@ -232,9 +232,12 @@ pub fn proportional_sweep<R: Rng>(
     estimates
 }
 
-/// A trivial term sampler with a fixed exact value, sampling ±1 with the
-/// matching bias — useful for tests and as a reference model of a
-/// single-qubit Z measurement.
+/// A term sampler with a fixed exact value, sampling ±1 with the
+/// matching bias `P(+1) = (1 + expectation)/2`. This is the production
+/// term of compiled cut plans (`wirecut::planner::PlanTerm`) and of the
+/// mixed-resource cuts: any term whose observable is a ±1 parity has
+/// exactly this law, so a term needs to keep nothing but its exact
+/// value.
 #[derive(Clone, Copy, Debug)]
 pub struct BernoulliTerm {
     /// The exact expectation in `[-1, 1]`.

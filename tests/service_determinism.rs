@@ -10,9 +10,12 @@
 //! * the compiled-plan cache dedupes by content and the streamed batch
 //!   partials are consistent with the final outcome.
 
+use nme_wire_cutting::experiments::plan_cut::tractable_random_circuit;
 use nme_wire_cutting::qsim::{Circuit, PauliString};
-use nme_wire_cutting::wirecut::planner::CutPlanner;
+use nme_wire_cutting::wirecut::planner::{uncut_plan_expectation, CutPlanner, PlanBackend};
 use nme_wire_cutting::wirecut::service::{AllocationMode, CutService, EstimationJob};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A near-classical ladder: one wire cut, three NME terms.
 fn ladder() -> Circuit {
@@ -187,4 +190,117 @@ fn streamed_partials_are_consistent_with_the_outcome() {
         errs.last().unwrap() <= &worst,
         "final partial is the worst estimate: {errs:?}"
     );
+}
+
+/// A 4-wire ladder: at width 2 it plans two single-wire NME cuts (9
+/// product terms).
+fn ladder4() -> Circuit {
+    let mut c = Circuit::new(4, 0);
+    c.ry(0.4, 0);
+    for q in 0..3 {
+        c.cx(q, q + 1);
+    }
+    c
+}
+
+/// The contracted backend's sample stream, pinned bit for bit: the
+/// estimate, exact value and pooled allocation of two fixed jobs. A
+/// change to these constants is a change to every contracted job's
+/// output, and must be deliberate.
+#[test]
+fn contracted_sample_stream_is_pinned() {
+    let ladder_job = EstimationJob::new(ladder4(), PauliString::from_label("ZZZZ"), 3000, 11)
+        .with_batches(3)
+        .with_mode(AllocationMode::Sequential);
+    let random_planner = CutPlanner::new(3).with_overlap(0.8);
+    let mut rng = StdRng::seed_from_u64(3);
+    let (random, _) = tractable_random_circuit(5, 8, &random_planner, 2, &mut rng);
+    let random_job = EstimationJob::new(random, PauliString::from_label("ZZZZZ"), 3000, 12)
+        .with_batches(3)
+        .with_mode(AllocationMode::StaticProportional);
+    let cases = [
+        (
+            service(),
+            ladder_job,
+            0x3ff0_5b99_caa9_c9d1u64,
+            0x3ff0_0000_0000_0004u64,
+            vec![574u64, 555, 231, 585, 591, 229, 95, 95, 45],
+        ),
+        (
+            CutService::new(random_planner),
+            random_job,
+            0x3f82_2b1e_db61_3cca,
+            0x3f89_ebbc_7c15_3e0d,
+            vec![522, 522, 207, 522, 522, 207, 207, 207, 84],
+        ),
+    ];
+    for (svc, job, estimate, exact, allocation) in cases {
+        let out = svc.run_job(&job);
+        assert_eq!(out.backend, PlanBackend::Contracted);
+        assert_eq!(
+            out.estimate.to_bits(),
+            estimate,
+            "estimate {}",
+            out.estimate
+        );
+        assert_eq!(out.exact.to_bits(), exact, "exact {}", out.exact);
+        assert_eq!(out.allocation, allocation);
+    }
+}
+
+/// Plans the contraction cannot serve fall back to monolithic
+/// stitching: an uncut plan, and a circuit whose classical bit feeds
+/// forward across a cut. Their sampled jobs must land on the uncut
+/// value and keep the byte-identity contract of contracted jobs.
+#[test]
+fn monolithic_fallback_jobs_sample_the_uncut_value() {
+    let mut feed_forward = Circuit::new(3, 1);
+    feed_forward
+        .ry(0.4, 0)
+        .cx(0, 1)
+        .measure(1, 0)
+        .cx(1, 2)
+        .x_if(2, 0);
+    let cases = [
+        (3, ladder(), PauliString::from_label("ZZZ")),
+        (2, feed_forward, PauliString::from_label("ZZI")),
+    ];
+    let shots = 20_000u64;
+    for (width, circuit, obs) in cases {
+        let planner = CutPlanner::new(width).with_overlap(0.8);
+        let jobs: Vec<EstimationJob> = (0..3u64)
+            .map(|seed| {
+                EstimationJob::new(circuit.clone(), obs.clone(), shots, seed)
+                    .with_batches(2)
+                    .with_mode(AllocationMode::Sequential)
+            })
+            .collect();
+        let reference = uncut_plan_expectation(&circuit, &obs);
+        // Each solo job on its own cold service; then all of them on one
+        // warmed service, and as one fleet on a fresh service.
+        let solo: Vec<_> = jobs
+            .iter()
+            .map(|j| CutService::new(planner).run_job(j))
+            .collect();
+        let shared = CutService::new(planner);
+        shared.run_job(&jobs[0]);
+        let warm: Vec<_> = jobs.iter().map(|j| shared.run_job(j)).collect();
+        let fleet = CutService::new(planner).run_jobs(&jobs, 2);
+        for ((s, w), f) in solo.iter().zip(&warm).zip(&fleet) {
+            assert_eq!(s.backend, PlanBackend::Monolithic);
+            assert!(!s.cache_hit && w.cache_hit);
+            let tol = 5.0 * s.kappa / (shots as f64).sqrt();
+            assert!(
+                (s.estimate - reference).abs() < tol,
+                "estimate {} vs uncut {reference} (tol {tol})",
+                s.estimate
+            );
+            assert!((s.exact - reference).abs() < 1e-8);
+            for other in [w, f] {
+                assert_eq!(s.estimate.to_bits(), other.estimate.to_bits());
+                assert_eq!(s.updates, other.updates);
+                assert_eq!(s.allocation, other.allocation);
+            }
+        }
+    }
 }
