@@ -7,7 +7,7 @@
 //!
 //! Planning itself (DAG analysis + fragmentation + protocol choice) is
 //! microseconds; the dominant costs are term-circuit compilation
-//! (`Σ 6^incoming` fragment variants contracted, `Π terms(group)`
+//! (`Σ 4^incoming` fragment prep variants contracted, `Π terms(group)`
 //! stitched circuits monolithic) and batched sampling. All workloads
 //! derive their circuits from fixed seeds so every run and every thread
 //! count measures identical work.
@@ -90,7 +90,7 @@ fn compiled_plan_sampling(c: &mut Criterion) {
 /// sweep. A CX ladder on `k + 2` qubits planned at width budget 2
 /// yields exactly `k` single-wire NME cuts, so the monolithic backend
 /// stitches `3^k` product circuits while the contracted backend
-/// compiles `Σ 6^incoming` fragment variants (linear in `k` here).
+/// compiles `Σ 4^incoming` fragment variants (linear in `k` here).
 /// Monolithic is capped at 4 cuts — past that its exponential bill
 /// dominates the whole bench run, which is precisely the regression the
 /// contracted series guards against. The `sweep_cached` /
@@ -162,6 +162,105 @@ fn cut_count_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fan-in circuit whose target fragment takes five cut wires at width
+/// budget 6: fragment A (helpers `0..3`, sources `3..6`) hands three
+/// wires over as one joint-MUB group, fragment B (helpers `6..10`,
+/// sources `10..12`) two more, and the target block entangles all five
+/// sources with target qubit 12. `local` adds each qubit's local gates.
+fn fan_in_5(local: impl Fn(&mut Circuit, usize)) -> Circuit {
+    let mut c = Circuit::new(13, 0);
+    for (helpers, sources) in [(0..3, 3..6), (6..10, 10..12)] {
+        let sources: Vec<usize> = sources.collect();
+        for q in helpers.clone().chain(sources.iter().copied()) {
+            local(&mut c, q);
+        }
+        for (i, h) in helpers.enumerate() {
+            c.cx(h, sources[i % sources.len()]);
+        }
+        for w in sources.windows(2) {
+            c.cx(w[0], w[1]);
+        }
+    }
+    let block = [3, 4, 5, 10, 11, 12];
+    for w in block.windows(2) {
+        c.cx(w[0], w[1]);
+    }
+    for &q in &block {
+        local(&mut c, q);
+    }
+    for w in block.windows(2).rev() {
+        c.cx(w[1], w[0]);
+    }
+    c
+}
+
+/// `FragmentBlocks::build` alone — the per-fragment prep-variant
+/// simulations and the prep→Pauli fold — on an 8-cut ladder (one
+/// incoming wire per fragment) and on 5-input fan-ins with and without
+/// rotations (`4^5` variants of the target fragment). The Clifford-only
+/// fan-in runs each variant on the tableau end to end.
+fn block_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("perf_planner/block_build");
+    group.sample_size(10);
+    let mut ladder = Circuit::new(10, 0);
+    ladder.ry(0.4, 0);
+    for q in 0..9 {
+        ladder.cx(q, q + 1);
+    }
+    let rotated = fan_in_5(|c, q| {
+        c.ry(0.3 + 0.2 * q as f64, q).rz(1.7 - 0.1 * q as f64, q);
+    });
+    let clifford = fan_in_5(|c, q| {
+        match q % 3 {
+            0 => c.h(q),
+            1 => c.h(q).s(q),
+            _ => c.s(q).h(q),
+        };
+    });
+    // (name, circuit, planner, cut wires, widest fragment fan-in)
+    let cases = [
+        (
+            "ladder_8cut",
+            ladder,
+            CutPlanner::new(2).with_overlap(0.8),
+            8,
+            1,
+        ),
+        (
+            "fanin5_rotations",
+            rotated,
+            CutPlanner::new(6).with_overlap(0.55),
+            5,
+            5,
+        ),
+        (
+            "fanin5_clifford",
+            clifford,
+            CutPlanner::new(6).with_overlap(0.55),
+            5,
+            5,
+        ),
+    ];
+    for (name, circuit, planner, cuts, widest) in cases {
+        let plan = planner.plan(&circuit);
+        let observable = PauliString::from_label(&"Z".repeat(circuit.num_qubits()));
+        let fan_in = FragmentBlocks::build(&plan, &observable)
+            .summaries()
+            .iter()
+            .map(|s| s.incoming)
+            .max();
+        assert_eq!(
+            (plan.num_cuts(), fan_in),
+            (cuts, Some(widest)),
+            "{name} plan shape drifted"
+        );
+        group.bench_with_input(BenchmarkId::new(name, cuts), &plan, |b, plan| {
+            b.iter(|| FragmentBlocks::build(plan, &observable).summaries().len())
+        });
+    }
+    group.finish();
+}
+
 /// The full E17 planner sweep per worker count — plan + compile +
 /// sample across the (overlap, circuit) grid, byte-identical output at
 /// every thread count so the timings are directly comparable.
@@ -193,6 +292,7 @@ criterion_group!(
     plan_compilation,
     compiled_plan_sampling,
     cut_count_scaling,
+    block_build,
     plan_cut_sweep
 );
 criterion_main!(benches);

@@ -20,13 +20,16 @@
 //!   matrix. That sparse form is what lifts [`MAX_JOINT_WIRES`] to 6:
 //!   the dense transfer at `n = 6` alone would hold `16⁶ ≈ 1.7·10⁷`
 //!   entries per term and cost `O(d⁵)` tomography to build.
-//! * **Fragment blocks** — each fragment `F` is compiled once per local
-//!   *variant*: every incoming cut wire is prepared in each of the six
-//!   Pauli eigenstates (a basis input plus H/S Clifford prep, riding the
-//!   [`CompiledSampler`] hybrid-stabilizer machinery), the fragment runs
-//!   as a statevector, and all outgoing-Pauli ⊗ local-Z expectations are
-//!   read off with [`StateVector::expval_pauli`]. Eigenstate weights
-//!   fold the variants into the block tensor
+//! * **Fragment blocks** — each fragment `F` is analysed once
+//!   ([`CircuitProgram`]: Clifford-prefix split and dense-suffix fusion)
+//!   and run once per local *variant*: every incoming cut wire is
+//!   prepared in one of the four tomographically complete states
+//!   `|0⟩, |1⟩, |+⟩, |+i⟩`, seeded onto the stabilizer tableau, and all
+//!   outgoing-Pauli ⊗ local-Z expectations are read off with
+//!   [`qsim::StateVector::expval_pauli`]. A 4×4 change of basis along
+//!   each incoming axis (`I/2 = ½|0⟩⟨0| + ½|1⟩⟨1|`,
+//!   `Z/2 = ½|0⟩⟨0| − ½|1⟩⟨1|`, `X/2 = |+⟩⟨+| − I/2`,
+//!   `Y/2 = |+i⟩⟨+i| − I/2`) folds the variants into the block tensor
 //!   `F[a_in, b_out] = Tr[(P_{b_out} ⊗ Z_local) · E_F(σ_{a_in}/2 ⊗ |0⟩⟨0|)]`,
 //!   stored in **CSR form** over the incoming index `a` (Clifford-heavy
 //!   fragments have near-permutation Pauli-transfer rows, so most
@@ -56,7 +59,7 @@
 //!   Hit/rebuild and frontier-op counters surface through
 //!   [`crate::planner::BackendReport`].
 //!
-//! Total cost is `Σ_F 6^{in(F)}` fragment simulations plus an amortized
+//! Total cost is `Σ_F 4^{in(F)}` fragment runs plus an amortized
 //! O(1) frontier contraction per term — `Σ variants(fragment)` instead
 //! of `Π terms(group)` — so plans with 6+ cuts compile where the
 //! monolithic path blows up. The monolithic compiler stays as the
@@ -70,11 +73,11 @@ use crate::planner::{BackendReport, CutGroup, CutPlan, Protocol};
 use crate::term::{term_channel, WireCut};
 use qlinalg::Matrix;
 use qsim::{
-    fragment_circuit, Circuit, CompiledSampler, Op, Pauli, PauliString, StateVector, Superoperator,
+    fragment_circuit, CircuitProgram, Op, Pauli, PauliString, StabilizerPrep, Superoperator,
 };
 
 /// Hard cap on incoming cut wires per fragment for the contracted path
-/// (`6^incoming` prep variants per fragment).
+/// (`4^incoming` prep variants per fragment).
 pub const MAX_INCOMING: usize = 8;
 
 /// Hard cap on joint-MUB group width for the contracted path. The
@@ -105,18 +108,23 @@ pub(crate) fn decode_odometer(
 /// never moves a term value observably.
 const SPARSE_CUTOFF: f64 = 1e-14;
 
-/// Six Pauli eigenstate preps per incoming wire, indexed `0..6`:
-/// `|0⟩, |1⟩, |+⟩, |−⟩, |+i⟩, |−i⟩`. Odd indices set the input basis
-/// bit; `{2,3}` append H; `{4,5}` append H then S (`S·H|1⟩ = |−i⟩`).
-const NUM_PREPS: usize = 6;
+/// The tomographically complete prep set, indexed `0..4`: `|0⟩, |1⟩,
+/// |+⟩, |+i⟩`.
+const PREPS: [StabilizerPrep; 4] = [
+    StabilizerPrep::Zero,
+    StabilizerPrep::One,
+    StabilizerPrep::Plus,
+    StabilizerPrep::PlusI,
+];
 
-/// `σ_a/2` expanded over eigenstate preps: `WEIGHTS[a]` lists the two
-/// `(prep, weight)` entries with `σ_a/2 = Σ w·|s⟩⟨s|`.
-const WEIGHTS: [[(usize, f64); 2]; 4] = [
-    [(0, 0.5), (1, 0.5)],  // I/2
-    [(2, 0.5), (3, -0.5)], // X/2
-    [(4, 0.5), (5, -0.5)], // Y/2
-    [(0, 0.5), (1, -0.5)], // Z/2
+/// Change of basis from [`PREPS`] projectors to halved Paulis (rows
+/// `I/X/Y/Z`): `I/2 = ½|0⟩⟨0| + ½|1⟩⟨1|`, `X/2 = |+⟩⟨+| − I/2`,
+/// `Y/2 = |+i⟩⟨+i| − I/2`, `Z/2 = ½|0⟩⟨0| − ½|1⟩⟨1|`.
+const PREP_TO_PAULI: [[f64; 4]; 4] = [
+    [0.5, 0.5, 0.0, 0.0],
+    [-0.5, -0.5, 1.0, 0.0],
+    [-0.5, -0.5, 0.0, 1.0],
+    [0.5, -0.5, 0.0, 0.0],
 ];
 
 /// `true` when `plan` can compile through the contracted fragment-block
@@ -136,13 +144,12 @@ pub fn supports_contraction(plan: &CutPlan) -> bool {
 ///    in another threads a side channel the independent per-fragment
 ///    blocks cannot express;
 /// 3. joint-MUB group width ≤ [`MAX_JOINT_WIRES`];
-/// 4. incoming cut wires per fragment ≤ [`MAX_INCOMING`], with the
-///    `6^incoming` variant count computed via `checked_pow` so a wide
-///    fragment is rejected by name instead of wrapping in release
-///    builds;
+/// 4. incoming cut wires per fragment ≤ [`MAX_INCOMING`], so a wide
+///    fragment is rejected by name before its `4^incoming` prep
+///    variants are simulated;
 /// 5. per-group term counts and their running product stay inside
-///    `usize` (same `checked_pow`/`checked_mul` discipline — the
-///    odometer sweep indexes `Π terms(group)` combinations).
+///    `usize` (computed via `checked_pow`/`checked_mul` — the odometer
+///    sweep indexes `Π terms(group)` combinations).
 pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
     if plan.groups.is_empty() {
         return Some("plan has no cuts — nothing to contract".to_string());
@@ -188,11 +195,6 @@ pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
             return Some(format!(
                 "fragment {fi} receives {n_in} cut wires, above the MAX_INCOMING = \
                  {MAX_INCOMING} variant cap"
-            ));
-        }
-        if NUM_PREPS.checked_pow(n_in as u32).is_none() {
-            return Some(format!(
-                "fragment {fi}: prep variant count {NUM_PREPS}^{n_in} overflows usize"
             ));
         }
     }
@@ -370,7 +372,7 @@ pub struct FragmentBlockSummary {
     pub incoming: usize,
     /// Outgoing cut wires.
     pub outgoing: usize,
-    /// Compiled prep variants (`6^incoming`).
+    /// Compiled prep variants (`4^incoming`).
     pub variants: usize,
     /// Entries surviving CSR sparsification, out of `4^(in+out)`.
     pub nnz: usize,
@@ -511,49 +513,15 @@ impl FragmentBlocks {
                 .filter(|&&w| observable.op(w) == Pauli::Z && !out_wires.contains(&w))
                 .map(|&w| local[w])
                 .collect();
-            let base = fragment_circuit(circuit, frag);
+            let program = CircuitProgram::new(&fragment_circuit(circuit, frag));
             let n_in = in_slots.len();
             let n_out = out_slots.len();
             let dim_out = 1usize << (2 * n_out);
-            let num_variants = NUM_PREPS.checked_pow(n_in as u32).expect(
-                "variant count overflows usize — eligibility admitted a plan it must reject",
-            );
-            let mut outcome_branches = 1usize;
-            let mut vals = vec![vec![0.0f64; dim_out]; num_variants];
-            for (v, val) in vals.iter_mut().enumerate() {
-                let mut c = Circuit::new(width, base.num_clbits());
-                let mut basis_mask = 0usize;
-                let mut rem = v;
-                for &(_, q) in &in_slots {
-                    let s = rem % NUM_PREPS;
-                    rem /= NUM_PREPS;
-                    if s % 2 == 1 {
-                        basis_mask |= 1 << q;
-                    }
-                    if s >= 2 {
-                        c.h(q);
-                    }
-                    if s >= 4 {
-                        c.s(q);
-                    }
-                }
-                c.compose(&base);
-                let input = if basis_mask == 0 {
-                    None
-                } else {
-                    let mut amps = vec![qlinalg::c64(0.0, 0.0); 1 << width];
-                    amps[basis_mask] = qlinalg::c64(1.0, 0.0);
-                    Some(StateVector::from_amplitudes(width, amps))
-                };
-                let sampler = CompiledSampler::compile(&c, input.as_ref());
-                backend.record(&sampler);
-                // Measurement fragments branch over classical outcomes;
-                // the channel expectation is the probability-weighted
-                // sum over the branch leaves (one sub-block per
-                // outcome). A unitary fragment has exactly one leaf.
-                let leaves = sampler.leaves();
-                outcome_branches = outcome_branches.max(leaves.len());
-                for (b, slot) in val.iter_mut().enumerate() {
+            let num_variants = 1usize << (2 * n_in);
+            // Column `b` reads out `P_b ⊗ Z_local`: one Pauli string per
+            // column, shared by every variant.
+            let readouts: Vec<PauliString> = (0..dim_out)
+                .map(|b| {
                     let mut ops = vec![Pauli::I; width];
                     for &q in &z_locals {
                         ops[q] = Pauli::Z;
@@ -561,37 +529,44 @@ impl FragmentBlocks {
                     for (i, &(_, q)) in out_slots.iter().enumerate() {
                         ops[q] = Pauli::from_index((b >> (2 * i)) & 3);
                     }
-                    let obs = PauliString::new(ops);
+                    PauliString::new(ops)
+                })
+                .collect();
+            // Variant `v` prepares incoming slot `i` in `PREPS[digit i of
+            // v]`; its row of `table` holds every readout. Base-4 digit
+            // `n_out + i` of a table index is slot `i`'s prep, the low
+            // `n_out` digits the readout column.
+            let mut outcome_branches = 1usize;
+            let mut table = vec![0.0f64; num_variants * dim_out];
+            let mut preps = vec![StabilizerPrep::Zero; width];
+            for (v, row) in table.chunks_mut(dim_out).enumerate() {
+                for (i, &(_, q)) in in_slots.iter().enumerate() {
+                    preps[q] = PREPS[(v >> (2 * i)) & 3];
+                }
+                let sampler = program.run(&preps);
+                backend.record(&sampler);
+                // Measurement fragments branch over classical outcomes;
+                // the channel expectation is the probability-weighted
+                // sum over the branch leaves (one sub-block per
+                // outcome). A unitary fragment has exactly one leaf.
+                let leaves = sampler.leaves();
+                outcome_branches = outcome_branches.max(leaves.len());
+                for (slot, obs) in row.iter_mut().zip(&readouts) {
                     *slot = leaves
                         .iter()
-                        .map(|l| l.probability * l.state.expval_pauli(&obs))
+                        .map(|l| l.probability * l.state.expval_pauli(obs))
                         .sum();
                 }
             }
-            // Fold eigenstate weights into CSR rows, one incoming index
-            // `a` at a time (never materialising the dense tensor).
-            let dim_in = 1usize << (2 * n_in);
-            let mut row_ptr = Vec::with_capacity(dim_in + 1);
+            // Prep rows → Pauli rows, one incoming axis at a time.
+            for i in 0..n_in {
+                apply_axis_4(&mut table, n_out + i, &PREP_TO_PAULI);
+            }
+            let mut row_ptr = Vec::with_capacity(num_variants + 1);
             let mut cols: Vec<u32> = Vec::new();
             let mut csr_vals: Vec<f64> = Vec::new();
             row_ptr.push(0);
-            let mut row = vec![0.0f64; dim_out];
-            for a in 0..dim_in {
-                row.fill(0.0);
-                for choice in 0..(1usize << n_in) {
-                    let mut weight = 1.0f64;
-                    let mut v = 0usize;
-                    let mut scale = 1usize;
-                    for i in 0..n_in {
-                        let (prep, w) = WEIGHTS[(a >> (2 * i)) & 3][(choice >> i) & 1];
-                        weight *= w;
-                        v += prep * scale;
-                        scale *= NUM_PREPS;
-                    }
-                    for (b, &x) in vals[v].iter().enumerate() {
-                        row[b] += weight * x;
-                    }
-                }
+            for row in table.chunks(dim_out) {
                 for (b, &x) in row.iter().enumerate() {
                     if x.abs() > SPARSE_CUTOFF {
                         cols.push(b as u32);
@@ -1033,6 +1008,7 @@ mod tests {
     use super::*;
     use crate::joint::{apply_basis_term, apply_flip_term, JointWireCut};
     use crate::planner::CutPlanner;
+    use qsim::{Circuit, DensityMatrix};
 
     fn ladder(n: usize) -> Circuit {
         let mut c = Circuit::new(n, 0);
@@ -1055,6 +1031,153 @@ mod tests {
             }
         }
         r
+    }
+
+    /// Checks every entry of every block of `plan` — stored or dropped by
+    /// sparsification — against density-matrix process tomography of
+    /// the fragment circuit: `F[a, b] = Tr[(P_b ⊗ Z_local) ·
+    /// E_F(σ_a/2 ⊗ |0…0⟩⟨0…0|)]` with `E_F` run by
+    /// [`qsim::execute_density`], independent of the prep-variant fold.
+    fn assert_blocks_match_density_tomography(plan: &CutPlan, observable: &PauliString) {
+        let blocks = FragmentBlocks::build(plan, observable);
+        for (fi, frag) in plan.fragments.iter().enumerate() {
+            let block = &blocks.blocks[fi];
+            assert!(!block.vals.is_empty(), "fragment {fi}: all-zero block");
+            let n = frag.wires.len();
+            let local = |w: usize| frag.wires.iter().position(|&x| x == w).unwrap();
+            let qubits = |slots: &[(usize, usize)]| -> Vec<usize> {
+                slots
+                    .iter()
+                    .map(|&(gi, si)| local(plan.groups[gi].cuts[si].wire))
+                    .collect()
+            };
+            let in_q = qubits(&block.in_slots);
+            let out_q = qubits(&block.out_slots);
+            let in_mask: usize = in_q.iter().map(|&q| 1usize << q).sum();
+            let circuit = fragment_circuit(plan.circuit(), frag);
+            for a in 0..1usize << (2 * in_q.len()) {
+                let mut ops = vec![Pauli::I; n];
+                for (i, &q) in in_q.iter().enumerate() {
+                    ops[q] = Pauli::from_index((a >> (2 * i)) & 3);
+                }
+                let sigma = PauliString::new(ops).matrix();
+                let scale = 0.5f64.powi(in_q.len() as i32);
+                let input = Matrix::from_fn(1 << n, 1 << n, |r, c| {
+                    if (r | c) & !in_mask == 0 {
+                        sigma[(r, c)].scale(scale)
+                    } else {
+                        qlinalg::c64(0.0, 0.0)
+                    }
+                });
+                let rho = qsim::execute_density(&circuit, &DensityMatrix::from_matrix(n, input));
+                for b in 0..1usize << (2 * out_q.len()) {
+                    let mut ops = vec![Pauli::I; n];
+                    for &w in &frag.wires {
+                        let outgoing = plan.groups.iter().any(|g| {
+                            g.cuts
+                                .iter()
+                                .any(|c| c.wire == w && c.source_fragment == fi)
+                        });
+                        if observable.op(w) == Pauli::Z && !outgoing {
+                            ops[local(w)] = Pauli::Z;
+                        }
+                    }
+                    for (i, &q) in out_q.iter().enumerate() {
+                        ops[q] = Pauli::from_index((b >> (2 * i)) & 3);
+                    }
+                    let expect = rho.expval_pauli(&PauliString::new(ops));
+                    let stored = (block.row_ptr[a]..block.row_ptr[a + 1])
+                        .find(|&k| block.cols[k] as usize == b)
+                        .map_or(0.0, |k| block.vals[k]);
+                    assert!(
+                        (stored - expect).abs() < 1e-12,
+                        "fragment {fi} F[{a}, {b}] = {stored}, tomography {expect}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Fan-in circuit: helper 0 and sources 1..=3 form one fragment, then
+    /// the sources and target 4 form a second fragment fed by all three
+    /// source wires at once. `local` adds each qubit's local gates.
+    fn fan_in(local: impl Fn(&mut Circuit, usize)) -> Circuit {
+        let mut c = Circuit::new(5, 0);
+        for q in 0..4 {
+            local(&mut c, q);
+        }
+        c.cx(0, 1).cx(1, 2).cx(2, 3);
+        c.cx(1, 2).cx(2, 3).cx(3, 4);
+        for q in 1..5 {
+            local(&mut c, q);
+        }
+        c.cx(1, 2).cx(3, 4).cx(2, 3);
+        for q in 1..5 {
+            local(&mut c, q);
+        }
+        c
+    }
+
+    fn joint_fan_in_plan(c: &Circuit) -> CutPlan {
+        let plan = CutPlanner::new(4).with_overlap(0.55).plan(c);
+        assert!(
+            plan.groups
+                .iter()
+                .any(|g| g.protocol == Protocol::JointMub && g.num_wires() == 3),
+            "no 3-wire joint-MUB group: {plan:?}"
+        );
+        plan
+    }
+
+    #[test]
+    fn ladder_rung_blocks_match_density_tomography() {
+        let mut c = ladder(4);
+        c.rz(0.9, 2).ry(1.3, 3);
+        let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
+        assert_eq!(plan.num_cuts(), 2);
+        assert_blocks_match_density_tomography(&plan, &PauliString::from_label("ZZZZ"));
+    }
+
+    #[test]
+    fn rotated_joint_fan_in_blocks_match_density_tomography() {
+        let c = fan_in(|c, q| {
+            c.ry(0.3 + 0.4 * q as f64, q).rz(1.1 - 0.2 * q as f64, q);
+        });
+        let plan = joint_fan_in_plan(&c);
+        assert_blocks_match_density_tomography(&plan, &PauliString::from_label("ZZZZZ"));
+    }
+
+    #[test]
+    fn clifford_fan_in_blocks_match_density_tomography() {
+        let c = fan_in(|c, q| {
+            match q % 3 {
+                0 => c.x(q),
+                1 => c.h(q),
+                _ => c.s(q),
+            };
+        });
+        let plan = joint_fan_in_plan(&c);
+        let blocks = FragmentBlocks::build(&plan, &PauliString::from_label("ZZZZZ"));
+        assert_eq!(blocks.backend_report().clifford_fraction(), 1.0);
+        assert_blocks_match_density_tomography(&plan, &PauliString::from_label("ZZZZZ"));
+    }
+
+    #[test]
+    fn measurement_fragment_blocks_match_density_tomography() {
+        // The second fragment measures, feeds the bit forward, resets
+        // and reuses the measured qubit, all on its own classical bit.
+        let mut c = Circuit::new(3, 1);
+        c.ry(0.4, 0).cx(0, 1);
+        c.cx(1, 2).ry(0.7, 2).measure(2, 0).x_if(1, 0);
+        c.reset(2).ry(0.5, 2).cx(1, 2).rz(0.3, 1);
+        let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
+        assert_eq!(contraction_ineligibility(&plan), None);
+        let blocks = FragmentBlocks::build(&plan, &PauliString::from_label("ZZZ"));
+        assert!(blocks
+            .summaries()
+            .iter()
+            .any(|s| s.incoming > 0 && s.outcome_branches > 1));
+        assert_blocks_match_density_tomography(&plan, &PauliString::from_label("ZZZ"));
     }
 
     #[test]

@@ -544,7 +544,10 @@ pub struct BackendReport {
 impl BackendReport {
     /// Fraction of the compiled units' instructions on the stabilizer
     /// fast path (1.0 for an empty plan, which trivially has no dense
-    /// work).
+    /// work). Contracted fragment variants count only the fragment's
+    /// own instructions: their input preps are seeded onto the tableau
+    /// ([`qsim::CircuitProgram::run`]), not executed as gates, so they
+    /// are no longer counted as instructions.
     pub fn clifford_fraction(&self) -> f64 {
         if self.total_instructions == 0 {
             1.0
@@ -1313,7 +1316,7 @@ mod tests {
             .sum();
         assert_eq!(r.terms, variants);
         assert!(r.total_instructions > 0);
-        // Σ 6^incoming is far below the Π terms the monolithic path
+        // Σ 4^incoming is far below the Π terms the monolithic path
         // would compile once the plan has a few cuts.
         assert!(variants >= plan.fragments.len());
     }

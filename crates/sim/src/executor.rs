@@ -15,7 +15,9 @@
 //!   is the Aer-style "shot branching" optimisation: statistically
 //!   identical to [`run_shot`] but orders of magnitude faster for the
 //!   paper's experiment, which takes millions of shots on the same
-//!   subcircuits.
+//!   subcircuits. [`CircuitProgram`] keeps the circuit analysis (Clifford
+//!   prefix, fused dense suffix) so many stabilizer product inputs can
+//!   be compiled without repeating it.
 //!
 //! # The two sampling paths of [`CompiledSampler`]
 //!
@@ -493,6 +495,121 @@ pub fn computational_basis_index(sv: &StateVector) -> Option<usize> {
     idx
 }
 
+/// A single-qubit stabilizer state a [`CircuitProgram`] input prepares
+/// on one qubit. `|0⟩, |1⟩, |+⟩, |+i⟩` are tomographically complete:
+/// their projectors span the single-qubit operators.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StabilizerPrep {
+    /// `|0⟩`.
+    Zero,
+    /// `|1⟩ = X|0⟩`.
+    One,
+    /// `|+⟩ = H|0⟩`.
+    Plus,
+    /// `|+i⟩ = S·H|0⟩`.
+    PlusI,
+}
+
+/// A circuit analysed once for many runs from different stabilizer
+/// product inputs: the Clifford-prefix/dense-suffix split and the fused
+/// dense suffix are computed at construction, and each
+/// [`run`](Self::run) only seeds its input onto the tableau and walks
+/// the branch tree. [`CompiledSampler::compile`] is the one-run case.
+#[derive(Clone, Debug)]
+pub struct CircuitProgram {
+    num_qubits: usize,
+    /// Instructions `[0, prefix_len)`, executed on the tableau.
+    clifford: Vec<Instruction>,
+    /// The remaining instructions, single-qubit runs fused.
+    dense: Circuit,
+    prefix: CliffordPrefix,
+    fusion: FusionStats,
+}
+
+impl CircuitProgram {
+    /// Minimum Clifford-prefix length before the tableau path is worth
+    /// the conversion cost at the split point.
+    const HYBRID_THRESHOLD: usize = 4;
+
+    /// Analyses `circuit`: the maximal Clifford prefix rides the tableau
+    /// when it is at least four instructions long, and the rest is fused
+    /// for the dense backend.
+    pub fn new(circuit: &Circuit) -> Self {
+        Self::analyse(circuit, true)
+    }
+
+    /// The split and fusion of [`new`](Self::new); `hybrid = false`
+    /// keeps every instruction dense (an input that is not a stabilizer
+    /// state cannot seed the tableau).
+    fn analyse(circuit: &Circuit, hybrid: bool) -> Self {
+        assert!(circuit.num_clbits() <= 64);
+        let n = circuit.num_qubits();
+        let mut prefix = CliffordPrefix::split(circuit);
+        if !hybrid || n > 30 || prefix.prefix_len < Self::HYBRID_THRESHOLD {
+            prefix.prefix_len = 0;
+        }
+        let instrs = circuit.instructions();
+        let mut suffix = Circuit::new(n, circuit.num_clbits());
+        for instr in &instrs[prefix.prefix_len..] {
+            suffix.push(instr.clone());
+        }
+        let (dense, fusion) = fuse_single_qubit_runs(&suffix);
+        Self {
+            num_qubits: n,
+            clifford: instrs[..prefix.prefix_len].to_vec(),
+            dense,
+            prefix,
+            fusion,
+        }
+    }
+
+    /// Enumerates all measurement branches from the product input
+    /// `⊗_q preps[q]`, seeded onto the tableau as Clifford gates: the
+    /// Clifford prefix runs there, and each branch converts to a dense
+    /// state for the fused suffix.
+    pub fn run(&self, preps: &[StabilizerPrep]) -> CompiledSampler {
+        assert_eq!(preps.len(), self.num_qubits);
+        let mut tab = Tableau::new(self.num_qubits);
+        for (q, prep) in preps.iter().enumerate() {
+            match prep {
+                StabilizerPrep::Zero => {}
+                StabilizerPrep::One => tab.apply_x(q),
+                StabilizerPrep::Plus => tab.apply_h(q),
+                StabilizerPrep::PlusI => {
+                    tab.apply_h(q);
+                    tab.apply_s(q);
+                }
+            }
+        }
+        let branches = tableau_branches(
+            &self.clifford,
+            vec![TableauBranch {
+                p: 1.0,
+                clbits: 0,
+                tab,
+            }],
+        )
+        .into_iter()
+        .map(|b| Branch {
+            p: b.p,
+            clbits: b.clbits,
+            state: b.tab.to_statevector(),
+        })
+        .collect();
+        self.finish(branches)
+    }
+
+    /// Runs the fused dense suffix on the branch states (which must have
+    /// passed the tableau prefix, if any) and finalises.
+    fn finish(&self, branches: Vec<Branch>) -> CompiledSampler {
+        CompiledSampler::finalize(
+            dense_branches(self.dense.instructions(), branches),
+            self.prefix,
+            self.fusion,
+        )
+    }
+}
+
 /// Pre-enumerated measurement branch tree for a circuit and fixed input.
 ///
 /// Compiling costs one statevector simulation per measurement branch
@@ -510,7 +627,9 @@ pub fn computational_basis_index(sv: &StateVector) -> Option<usize> {
 /// gate; the dense suffix then runs with adjacent single-qubit gates
 /// fused per wire ([`fuse_single_qubit_runs`]). The backend choice
 /// depends only on the circuit, never on runtime state, so compiled
-/// plans stay byte-deterministic. [`compile_dense`](Self::compile_dense)
+/// plans stay byte-deterministic. A [`CircuitProgram`] holds that
+/// analysis for reuse across many stabilizer product inputs; `compile`
+/// is its one-input case. [`compile_dense`](Self::compile_dense)
 /// is the pristine all-dense, no-fusion reference path the differential
 /// suite checks the hybrid against.
 #[derive(Clone, Debug)]
@@ -522,22 +641,15 @@ pub struct CompiledSampler {
 }
 
 impl CompiledSampler {
-    /// Minimum Clifford-prefix length before the tableau path is worth
-    /// the conversion cost at the split point.
-    const HYBRID_THRESHOLD: usize = 4;
-
     /// Enumerates all measurement branches of `circuit` on `input`,
     /// choosing the backend per the type-level docs.
     ///
     /// The hybrid tableau path accepts `None` **and** any exact
     /// computational-basis `input` (one amplitude exactly `1 + 0i`, the
     /// rest exactly zero): basis states are stabilizer states, seeded by
-    /// X gates on the tableau. Cut-planner term circuits start their
-    /// carriers in `|0…0⟩` or a prep basis state, so refusing every
-    /// supplied input (the old behaviour) silently forced those plans
-    /// dense.
+    /// X gates on the tableau. This is the one-input case of
+    /// [`CircuitProgram`]: analyse once, run once.
     pub fn compile(circuit: &Circuit, input: Option<&StateVector>) -> Self {
-        assert!(circuit.num_clbits() <= 64);
         let basis = match input {
             None => Some(0usize),
             Some(sv) => {
@@ -545,38 +657,29 @@ impl CompiledSampler {
                 computational_basis_index(sv)
             }
         };
-        if circuit.num_qubits() <= 30 {
-            if let Some(idx) = basis {
-                let prefix = CliffordPrefix::split(circuit);
-                if prefix.prefix_len >= Self::HYBRID_THRESHOLD {
-                    return Self::compile_hybrid(circuit, prefix, idx);
-                }
+        let program = CircuitProgram::analyse(circuit, basis.is_some());
+        match basis {
+            Some(idx) if program.prefix.prefix_len > 0 => {
+                let preps: Vec<StabilizerPrep> = (0..circuit.num_qubits())
+                    .map(|q| {
+                        if (idx >> q) & 1 == 1 {
+                            StabilizerPrep::One
+                        } else {
+                            StabilizerPrep::Zero
+                        }
+                    })
+                    .collect();
+                program.run(&preps)
             }
-        }
-        let init = match input {
-            Some(sv) => {
-                assert_eq!(sv.num_qubits(), circuit.num_qubits());
-                sv.clone()
-            }
-            None => StateVector::new(circuit.num_qubits()),
-        };
-        let (fused, fusion) = fuse_single_qubit_runs(circuit);
-        let branches = dense_branches(
-            fused.instructions(),
-            vec![Branch {
+            // All dense: the program has no tableau prefix to seed.
+            _ => program.finish(vec![Branch {
                 p: 1.0,
                 clbits: 0,
-                state: init,
-            }],
-        );
-        Self::finalize(
-            branches,
-            CliffordPrefix {
-                prefix_len: 0,
-                total: circuit.len(),
-            },
-            fusion,
-        )
+                state: input
+                    .cloned()
+                    .unwrap_or_else(|| StateVector::new(circuit.num_qubits())),
+            }]),
+        }
     }
 
     /// The all-dense, fusion-free reference compilation: the exact code
@@ -610,46 +713,6 @@ impl CompiledSampler {
                 output_len: circuit.len(),
                 ..FusionStats::default()
             },
-        )
-    }
-
-    /// Clifford prefix on the tableau, fused dense suffix from the
-    /// converted branch states. `basis` is the computational input state
-    /// `|basis⟩`, seeded onto the tableau as X gates.
-    fn compile_hybrid(circuit: &Circuit, prefix: CliffordPrefix, basis: usize) -> Self {
-        let n = circuit.num_qubits();
-        let instrs = circuit.instructions();
-        let mut tab = Tableau::new(n);
-        for q in 0..n {
-            if (basis >> q) & 1 == 1 {
-                tab.apply_x(q);
-            }
-        }
-        let tb = tableau_branches(
-            &instrs[..prefix.prefix_len],
-            vec![TableauBranch {
-                p: 1.0,
-                clbits: 0,
-                tab,
-            }],
-        );
-        let mut suffix = Circuit::new(n, circuit.num_clbits());
-        for instr in &instrs[prefix.prefix_len..] {
-            suffix.push(instr.clone());
-        }
-        let (fused, fusion) = fuse_single_qubit_runs(&suffix);
-        let branches = tb
-            .into_iter()
-            .map(|b| Branch {
-                p: b.p,
-                clbits: b.clbits,
-                state: b.tab.to_statevector(),
-            })
-            .collect();
-        Self::finalize(
-            dense_branches(fused.instructions(), branches),
-            prefix,
-            fusion,
         )
     }
 

@@ -49,7 +49,7 @@ pub use dag::{
 pub use density::DensityMatrix;
 pub use executor::{
     computational_basis_index, execute_density, execute_density_branches, run_shot, run_shots,
-    BranchLeaf, CompiledSampler, Counts, DensityBranch, Shot,
+    BranchLeaf, CircuitProgram, CompiledSampler, Counts, DensityBranch, Shot, StabilizerPrep,
 };
 pub use fuse::{fuse_single_qubit_runs, FusionStats};
 pub use gate::Gate;

@@ -230,7 +230,7 @@ fn contracted_sample_stream_is_pinned() {
             CutService::new(random_planner),
             random_job,
             0x3f82_2b1e_db61_3cca,
-            0x3f89_ebbc_7c15_3e0d,
+            0x3f89_ebbc_7c15_3e02,
             vec![522, 522, 207, 522, 522, 207, 207, 207, 84],
         ),
     ];
