@@ -1,9 +1,10 @@
 //! Performance benches for the arbitrary-circuit cut planner
 //! (`wirecut::planner`): the cost of planning + compiling a multi-cut
-//! execution plan, the cost of sampling from a compiled plan, the
-//! cut-count scaling of the contracted fragment-block backend against
-//! monolithic stitching, and the wall-clock scaling of the full E17
-//! sweep at 1/2/4/8 worker threads.
+//! execution plan and of its product QPD spec alone, the cost of
+//! sampling from a compiled plan, the cut-count scaling of the
+//! contracted fragment-block backend against monolithic stitching, and
+//! the wall-clock scaling of the full E17 sweep at 1/2/4/8 worker
+//! threads.
 //!
 //! Planning itself (DAG analysis + fragmentation + protocol choice) is
 //! microseconds; the dominant costs are term-circuit compilation
@@ -14,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use experiments::plan_cut::{self, tractable_random_circuit, PlanCutConfig};
-use qpd::Allocator;
+use qpd::{Allocator, QpdSpec};
 use qsim::{Circuit, PauliString};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,8 +45,21 @@ fn plan_construction(c: &mut Criterion) {
     group.finish();
 }
 
-/// Plan compilation: stitching every product term into a branched
-/// statevector sampler (the expensive half of `CompiledPlan::compile`).
+/// A CX ladder on `cuts + 2` qubits: planned at width budget 2 it
+/// yields exactly `cuts` single-wire NME cuts and `3^cuts` product terms.
+fn ladder(cuts: usize) -> Circuit {
+    let n = cuts + 2;
+    let mut circuit = Circuit::new(n, 0);
+    circuit.ry(0.4, 0);
+    for q in 0..n - 1 {
+        circuit.cx(q, q + 1);
+    }
+    circuit
+}
+
+/// Plan compilation, end to end (`CompiledPlan::compile`): a small
+/// random plan, and the 11-cut ladder whose `3^11` product terms make
+/// compile time the product spec plus the term sweep.
 fn plan_compilation(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_planner/compile");
     group.sample_size(10);
@@ -56,6 +70,31 @@ fn plan_compilation(c: &mut Criterion) {
     group.bench_function("random_4q", |b| {
         b.iter(|| CompiledPlan::compile(&plan, &observable).spec.len())
     });
+    let plan = CutPlanner::new(2).with_overlap(0.8).plan(&ladder(11));
+    assert_eq!(plan.num_cuts(), 11, "ladder plan shape drifted");
+    let observable = PauliString::from_label(&"Z".repeat(13));
+    group.bench_function("ladder_11cut", |b| {
+        b.iter(|| CompiledPlan::compile(&plan, &observable).exact_value())
+    });
+    group.finish();
+}
+
+/// `QpdSpec::product` alone over the per-group specs of an 8- and an
+/// 11-cut ladder plan: the flat coefficient and pair-count folds over
+/// `3^cuts` terms, with labels left factored.
+fn product_spec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("perf_planner/product_spec");
+    group.sample_size(10);
+    let planner = CutPlanner::new(2).with_overlap(0.8);
+    for cuts in [8usize, 11] {
+        let plan = planner.plan(&ladder(cuts));
+        assert_eq!(plan.num_cuts(), cuts, "ladder plan shape drifted");
+        let specs: Vec<QpdSpec> = plan.groups.iter().map(|g| g.spec()).collect();
+        group.throughput(Throughput::Elements(3u64.pow(cuts as u32)));
+        group.bench_with_input(BenchmarkId::from_parameter(cuts), &specs, |b, specs| {
+            b.iter(|| QpdSpec::product(specs).len())
+        });
+    }
     group.finish();
 }
 
@@ -105,12 +144,7 @@ fn cut_count_scaling(c: &mut Criterion) {
     let planner = CutPlanner::new(2).with_overlap(0.8);
     for cuts in 1..=8usize {
         let n = cuts + 2;
-        let mut circuit = Circuit::new(n, 0);
-        circuit.ry(0.4, 0);
-        for q in 0..n - 1 {
-            circuit.cx(q, q + 1);
-        }
-        let plan = planner.plan(&circuit);
+        let plan = planner.plan(&ladder(cuts));
         assert_eq!(plan.num_cuts(), cuts, "ladder plan shape drifted");
         let observable = PauliString::from_label(&"Z".repeat(n));
         group.bench_with_input(BenchmarkId::new("contracted", cuts), &plan, |b, plan| {
@@ -202,11 +236,6 @@ fn fan_in_5(local: impl Fn(&mut Circuit, usize)) -> Circuit {
 fn block_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_planner/block_build");
     group.sample_size(10);
-    let mut ladder = Circuit::new(10, 0);
-    ladder.ry(0.4, 0);
-    for q in 0..9 {
-        ladder.cx(q, q + 1);
-    }
     let rotated = fan_in_5(|c, q| {
         c.ry(0.3 + 0.2 * q as f64, q).rz(1.7 - 0.1 * q as f64, q);
     });
@@ -221,7 +250,7 @@ fn block_build(c: &mut Criterion) {
     let cases = [
         (
             "ladder_8cut",
-            ladder,
+            ladder(8),
             CutPlanner::new(2).with_overlap(0.8),
             8,
             1,
@@ -290,6 +319,7 @@ criterion_group!(
     benches,
     plan_construction,
     plan_compilation,
+    product_spec,
     compiled_plan_sampling,
     cut_count_scaling,
     block_build,

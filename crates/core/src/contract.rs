@@ -55,7 +55,11 @@
 //!   frontier multiplications into amortized `O(terms)`. The
 //!   pick-independent tail *after* the last group's apply is folded
 //!   into one precomputed vector per last-group term, so the hot path —
-//!   only the fastest digit changed — is a single dot product.
+//!   only the fastest digit changed — is a single dot product. The
+//!   sweep reuses its buffers (snapshots refreshed in place, absorbs
+//!   ping-ponging between two frontier vectors), so no term allocates;
+//!   [`FrontierSweep::for_each_term`] walks the odometer itself and
+//!   takes each term's resume digit from the increment's carry.
 //!   Hit/rebuild and frontier-op counters surface through
 //!   [`crate::planner::BackendReport`].
 //!
@@ -629,8 +633,9 @@ impl FragmentBlocks {
     pub fn term_value(&self, pick: &[usize]) -> f64 {
         assert_eq!(pick.len(), self.transfers.len());
         let mut vals = vec![1.0f64];
+        let mut scratch = Vec::new();
         for op in &self.schedule.ops {
-            self.exec_op(op, pick, &mut vals);
+            self.exec_op(op, pick, &mut vals, &mut scratch);
         }
         debug_assert_eq!(vals.len(), 1);
         vals[0]
@@ -638,28 +643,42 @@ impl FragmentBlocks {
 
     /// A fresh prefix-cached sweep over this plan's product terms. Feed
     /// it picks in [`qpd::QpdSpec::product`] odometer order (last group
-    /// fastest) for amortized O(1) frontier work per term; any order is
-    /// correct, just slower.
+    /// fastest) for amortized O(1) frontier work per term, or let
+    /// [`FrontierSweep::for_each_term`] walk the odometer itself; any
+    /// order is correct, just slower.
     pub fn sweep(&self) -> FrontierSweep<'_> {
+        let num_groups = self.transfers.len();
         FrontierSweep {
             blocks: self,
-            last_pick: vec![0; self.transfers.len()],
+            lens: self.group_lens(),
+            last_pick: vec![0; num_groups],
             has_pick: false,
-            snapshots: vec![Vec::new(); self.transfers.len()],
+            snapshots: vec![Vec::new(); num_groups],
+            vals: Vec::new(),
+            scratch: Vec::new(),
             stats: SweepStats::default(),
         }
     }
 
-    /// Executes one schedule op against the frontier, returning the
-    /// frontier multiplications performed.
-    fn exec_op(&self, op: &SweepOp, pick: &[usize], vals: &mut Vec<f64>) -> usize {
+    /// Executes one schedule op against the frontier `vals`, returning
+    /// the frontier multiplications performed. An absorb builds the new
+    /// frontier in `scratch` and swaps it into `vals`, so both buffers
+    /// keep their capacity across calls.
+    fn exec_op(
+        &self,
+        op: &SweepOp,
+        pick: &[usize],
+        vals: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
+    ) -> usize {
         match op {
             SweepOp::Absorb {
                 fragment,
                 in_pos,
                 rest_pos,
             } => {
-                absorb_sparse(&self.blocks[*fragment], in_pos, rest_pos, vals);
+                absorb_sparse(&self.blocks[*fragment], in_pos, rest_pos, vals, scratch);
+                std::mem::swap(vals, scratch);
                 1
             }
             SweepOp::Apply { group, axes } => self.apply_group(*group, pick, axes, vals),
@@ -706,13 +725,26 @@ impl FragmentBlocks {
 /// pick-independent tail after the last apply is pre-folded into a
 /// per-term dot table, so the common case (only the fastest
 /// digit moved) is a single dot product against the last snapshot.
+///
+/// Evaluation allocates nothing per term: the snapshots and a pair of
+/// ping-pong frontier buffers (an absorb writes the next frontier into
+/// the spare one and swaps) are refreshed in place and keep their
+/// capacity from term to term. [`for_each_term`](Self::for_each_term)
+/// walks the whole odometer and takes each term's resume digit from
+/// the carry of the increment, so it needs neither a per-term index
+/// decode nor a digit comparison.
 pub struct FrontierSweep<'a> {
     blocks: &'a FragmentBlocks,
+    /// Term count per group: the odometer radices.
+    lens: Vec<usize>,
     last_pick: Vec<usize>,
     has_pick: bool,
     /// `snapshots[g]`: frontier values before group `g`'s apply, valid
     /// for the current `last_pick` prefix of length `g`.
     snapshots: Vec<Vec<f64>>,
+    /// The working frontier and the spare buffer absorbs write into.
+    vals: Vec<f64>,
+    scratch: Vec<f64>,
     stats: SweepStats,
 }
 
@@ -723,10 +755,8 @@ impl FrontierSweep<'_> {
     /// call sequence (resumed and from-scratch evaluations run the
     /// identical op sequence on identical snapshots).
     pub fn term_value(&mut self, pick: &[usize]) -> f64 {
-        let sched = &self.blocks.schedule;
-        let num_groups = self.blocks.transfers.len();
+        let num_groups = self.lens.len();
         assert_eq!(pick.len(), num_groups);
-        let last = num_groups - 1;
         // Resume at the first differing digit; snapshots[r] depends
         // only on pick[0..r], so a common prefix of length ≥ r keeps it
         // valid. Identical picks re-run just the fastest digit.
@@ -735,40 +765,80 @@ impl FrontierSweep<'_> {
             while c < num_groups && pick[c] == self.last_pick[c] {
                 c += 1;
             }
-            c.min(last)
+            c.min(num_groups - 1)
         } else {
             0
         };
-        self.stats.terms += 1;
-        self.stats.prefix_hits += resume;
-        self.stats.prefix_rebuilds += num_groups - resume;
-        self.stats.frontier_ops_uncached += sched.ops_per_term;
-        let from_scratch = !self.has_pick;
-        let (mut vals, start_op) = if from_scratch {
-            (vec![1.0f64], 0)
-        } else {
-            (self.snapshots[resume].clone(), sched.group_op[resume])
-        };
+        self.last_pick.copy_from_slice(pick);
+        self.resume_at(resume)
+    }
+
+    /// Evaluates every product term in [`qpd::QpdSpec::product`]
+    /// odometer order (last group fastest), passing each value to
+    /// `visit`. The same values, bits and counters as calling
+    /// [`term_value`](Self::term_value) on each pick in that order.
+    pub fn for_each_term(&mut self, mut visit: impl FnMut(f64)) {
+        let first = vec![0usize; self.lens.len()];
+        visit(self.term_value(&first));
+        // Advance the odometer: the carry stops at the last digit below
+        // its radix, which is the first digit that differs from the
+        // previous pick — the resume point.
+        while let Some(g) = (0..self.lens.len())
+            .rev()
+            .find(|&g| self.last_pick[g] + 1 < self.lens[g])
+        {
+            self.last_pick[g] += 1;
+            self.last_pick[g + 1..].fill(0);
+            visit(self.resume_at(g));
+        }
+    }
+
+    /// Evaluates `last_pick`, whose digits before `resume` are those of
+    /// the previous evaluation.
+    fn resume_at(&mut self, resume: usize) -> f64 {
+        let Self {
+            blocks,
+            last_pick: pick,
+            has_pick,
+            snapshots,
+            vals,
+            scratch,
+            stats,
+            ..
+        } = self;
+        let sched = &blocks.schedule;
+        let last = snapshots.len() - 1;
+        stats.terms += 1;
+        stats.prefix_hits += resume;
+        stats.prefix_rebuilds += last + 1 - resume;
+        stats.frontier_ops_uncached += sched.ops_per_term;
+        let from_scratch = !*has_pick;
+        *has_pick = true;
         // Replay ops up to (excluding) the last group's apply,
         // refreshing the snapshots the new digits invalidated.
         let end_op = sched.group_op[last];
-        for op_i in start_op..end_op {
-            let op = &sched.ops[op_i];
-            if let SweepOp::Apply { group, .. } = op {
-                if *group > resume || from_scratch {
-                    self.snapshots[*group] = vals.clone();
+        if from_scratch || resume < last {
+            let start_op = if from_scratch {
+                vals.clear();
+                vals.push(1.0);
+                0
+            } else {
+                vals.clone_from(&snapshots[resume]);
+                sched.group_op[resume]
+            };
+            for op in &sched.ops[start_op..end_op] {
+                if let SweepOp::Apply { group, .. } = op {
+                    if *group > resume || from_scratch {
+                        snapshots[*group].clone_from(vals);
+                    }
                 }
+                stats.frontier_ops += blocks.exec_op(op, pick, vals, scratch);
             }
-            self.stats.frontier_ops += self.blocks.exec_op(op, pick, &mut vals);
+            snapshots[last].clone_from(vals);
         }
-        if last > resume || from_scratch {
-            self.snapshots[last] = vals.clone();
-        }
-        self.last_pick.copy_from_slice(pick);
-        self.has_pick = true;
-        let before_last = &self.snapshots[last];
+        let before_last = &snapshots[last];
         if let Some(fused) = &sched.fused_tail {
-            self.stats.frontier_ops += 1;
+            stats.frontier_ops += 1;
             fused[pick[last]]
                 .iter()
                 .zip(before_last)
@@ -776,13 +846,13 @@ impl FrontierSweep<'_> {
                 .sum()
         } else {
             // Tail too large to fuse: run the last apply and the
-            // trailing absorbs on a scratch frontier.
-            let mut tail = before_last.clone();
+            // trailing absorbs on the working frontier.
+            vals.clone_from(before_last);
             for op in &sched.ops[end_op..] {
-                self.stats.frontier_ops += self.blocks.exec_op(op, pick, &mut tail);
+                stats.frontier_ops += blocks.exec_op(op, pick, vals, scratch);
             }
-            debug_assert_eq!(tail.len(), 1);
-            tail[0]
+            debug_assert_eq!(vals.len(), 1);
+            vals[0]
         }
     }
 
@@ -897,6 +967,7 @@ fn build_fused_tail(
     // The tail functional: run the trailing absorbs on each basis
     // vector of the frontier before the last apply.
     let mut tail = vec![0.0f64; dim];
+    let mut scratch = Vec::new();
     for (e, out) in tail.iter_mut().enumerate() {
         let mut vals = vec![0.0f64; dim];
         vals[e] = 1.0;
@@ -909,7 +980,8 @@ fn build_fused_tail(
             else {
                 unreachable!("the last apply is the schedule's final Apply op");
             };
-            absorb_sparse(&blocks[*fragment], in_pos, rest_pos, &mut vals);
+            absorb_sparse(&blocks[*fragment], in_pos, rest_pos, &vals, &mut scratch);
+            std::mem::swap(&mut vals, &mut scratch);
         }
         debug_assert_eq!(vals.len(), 1);
         *out = vals[0];
@@ -942,13 +1014,21 @@ fn build_fused_tail(
     Some(table)
 }
 
-/// Contracts one fragment's CSR block into the frontier: sums out the
+/// Contracts one fragment's CSR block into the frontier `vals`, writing
+/// the result to `next` (resized and zeroed in place): sums out the
 /// fragment's incoming axes against the frontier and appends its
 /// outgoing axes. Frontier index: axis `k` is base-4 digit `k`.
-fn absorb_sparse(block: &FragmentBlock, in_pos: &[usize], rest_pos: &[usize], vals: &mut Vec<f64>) {
+fn absorb_sparse(
+    block: &FragmentBlock,
+    in_pos: &[usize],
+    rest_pos: &[usize],
+    vals: &[f64],
+    next: &mut Vec<f64>,
+) {
     let n_out = block.out_slots.len();
     let n_rest = rest_pos.len();
-    let mut next = vec![0.0f64; 1usize << (2 * (n_rest + n_out))];
+    next.clear();
+    next.resize(1usize << (2 * (n_rest + n_out)), 0.0);
     for (o, &v) in vals.iter().enumerate() {
         if v == 0.0 {
             continue;
@@ -965,7 +1045,6 @@ fn absorb_sparse(block: &FragmentBlock, in_pos: &[usize], rest_pos: &[usize], va
             next[rest | ((block.cols[k] as usize) << (2 * n_rest))] += block.vals[k] * v;
         }
     }
-    *vals = next;
 }
 
 /// In-place single-axis PTM application: `val'[.., a, ..] =
@@ -1286,7 +1365,7 @@ mod tests {
         for combo in 0..total {
             let mut pick = vec![0usize; lens.len()];
             decode_odometer(combo, &mut pick, |g| lens[g]);
-            value += spec.terms()[combo].coefficient * blocks.term_value(&pick);
+            value += spec.coefficients()[combo] * blocks.term_value(&pick);
         }
         let uncut = crate::planner::uncut_plan_expectation(&c, &obs);
         assert!(
@@ -1331,6 +1410,73 @@ mod tests {
         assert!(!supports_contraction(&plan));
         let reason = contraction_ineligibility(&plan).unwrap();
         assert!(reason.contains("no cuts"), "{reason}");
+    }
+
+    #[test]
+    fn odometer_walk_matches_picked_terms_bit_for_bit() {
+        // A ladder and a fan-in with a joint group: walking the odometer
+        // must reproduce per-pick evaluation exactly, counters included,
+        // and leave the sweep consistent for later picks.
+        let ladder_plan = CutPlanner::new(2).with_overlap(0.8).plan(&ladder(5));
+        let fan_in_circuit = fan_in(|c, q| {
+            c.ry(0.3 + 0.4 * q as f64, q);
+        });
+        let cases = [
+            (ladder_plan, PauliString::from_label("ZZZZZ")),
+            (
+                joint_fan_in_plan(&fan_in_circuit),
+                PauliString::from_label("ZZZZZ"),
+            ),
+        ];
+        for (plan, obs) in cases {
+            let blocks = FragmentBlocks::build(&plan, &obs);
+            let lens = blocks.group_lens();
+            let total: usize = lens.iter().product();
+            let mut picked = blocks.sweep();
+            let mut pick = vec![0usize; lens.len()];
+            let want: Vec<u64> = (0..total)
+                .map(|combo| {
+                    decode_odometer(combo, &mut pick, |g| lens[g]);
+                    picked.term_value(&pick).to_bits()
+                })
+                .collect();
+            let mut walked = blocks.sweep();
+            // Start from a stale state: the walk must not depend on it.
+            pick.fill(0);
+            pick[0] = lens[0] - 1;
+            walked.term_value(&pick);
+            let before = walked.stats();
+            let mut got = Vec::with_capacity(total);
+            walked.for_each_term(|v| got.push(v.to_bits()));
+            assert_eq!(got, want);
+            let (p, w) = (picked.stats(), walked.stats());
+            assert_eq!(w.terms - before.terms, p.terms);
+            assert_eq!(
+                w.frontier_ops_uncached - before.frontier_ops_uncached,
+                p.frontier_ops_uncached
+            );
+            for combo in [0, total / 3, total - 1] {
+                decode_odometer(combo, &mut pick, |g| lens[g]);
+                assert_eq!(
+                    walked.term_value(&pick).to_bits(),
+                    want[combo],
+                    "combo {combo} after the walk"
+                );
+            }
+        }
+        // From a fresh sweep, the walk's counters are those of picking.
+        let plan = CutPlanner::new(2).with_overlap(0.8).plan(&ladder(6));
+        let blocks = FragmentBlocks::build(&plan, &PauliString::from_label("ZZZZZZ"));
+        let lens = blocks.group_lens();
+        let mut picked = blocks.sweep();
+        let mut pick = vec![0usize; lens.len()];
+        for combo in 0..lens.iter().product() {
+            decode_odometer(combo, &mut pick, |g| lens[g]);
+            picked.term_value(&pick);
+        }
+        let mut walked = blocks.sweep();
+        walked.for_each_term(|_| {});
+        assert_eq!(walked.stats(), picked.stats());
     }
 
     #[test]

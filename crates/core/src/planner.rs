@@ -577,6 +577,7 @@ pub struct CompiledPlan {
     /// Product QPD coefficient structure (`κ = Π κ(group)`).
     pub spec: QpdSpec,
     terms: Vec<PlanTerm>,
+    exact_value: f64,
     report: PlanReport,
     backend: PlanBackend,
     backend_report: BackendReport,
@@ -633,17 +634,11 @@ impl CompiledPlan {
             assert_eq!(*len, gs.len(), "group transfer/spec term mismatch");
         }
         let mut sweep = blocks.sweep();
-        // `QpdSpec::product` order, so coefficients line up and every
-        // consecutive pair of picks shares the longest possible prefix.
-        let mut pick = vec![0usize; lens.len()];
-        let terms = (0..spec.len())
-            .map(|i| {
-                decode_odometer(i, &mut pick, |g| lens[g]);
-                PlanTerm {
-                    expectation: sweep.term_value(&pick),
-                }
-            })
-            .collect();
+        // The sweep walks `QpdSpec::product` order, so coefficients line
+        // up and every consecutive pair of picks shares the longest
+        // possible prefix.
+        let mut terms = Vec::with_capacity(spec.len());
+        sweep.for_each_term(|expectation| terms.push(PlanTerm { expectation }));
         let stats = sweep.stats();
         let mut backend_report = blocks.backend_report();
         backend_report.frontier_ops = stats.frontier_ops;
@@ -726,9 +721,17 @@ impl CompiledPlan {
         backend_report: BackendReport,
         fragment_summaries: Vec<FragmentBlockSummary>,
     ) -> Self {
+        // The order and arithmetic of `qpd::exact_value`, computed once.
+        let exact_value = spec
+            .coefficients()
+            .iter()
+            .zip(&terms)
+            .map(|(c, t)| c * t.expectation)
+            .sum();
         let compiled = Self {
             spec,
             terms,
+            exact_value,
             report: plan.report(),
             backend,
             backend_report,
@@ -754,9 +757,10 @@ impl CompiledPlan {
     }
 
     /// Exact decomposed value `Σ cᵢ·⟨O⟩ᵢ` — must equal the uncut
-    /// statevector expectation for a correct plan.
+    /// statevector expectation for a correct plan. Summed once at
+    /// compile time, in term order.
     pub fn exact_value(&self) -> f64 {
-        qpd::exact_value(&self.spec, &self.samplers())
+        self.exact_value
     }
 
     /// Exact per-term expectations, aligned with [`CompiledPlan::spec`].

@@ -27,6 +27,15 @@
 //!   ([`qpd::SequentialAllocator`]), converging to the Neyman-optimal
 //!   [`qpd::neyman_allocation`] as counts grow; static proportional and
 //!   uniform splits remain available for ablation.
+//! * **Budgets below the term count** — a batch needs more shots than
+//!   the plan has product terms before every term gets one. A smaller
+//!   sequential batch falls back to the uniform split, which shoots only
+//!   the first `budget` terms, the same ones every batch; a smaller
+//!   static-proportional batch shoots at most `budget` terms, those with
+//!   the largest `|cᵢ|`. Terms that never get a shot pool as mean 0, so
+//!   such a job's estimate is biased. On an 11-cut ladder
+//!   (`3¹¹ = 177 147` terms) two sequential batches of 50 000 shots
+//!   leave 127 147 terms unsampled.
 //! * **Work-stealing fan-out** — [`CutService::run_jobs`] schedules many
 //!   jobs on the [`qsample::grid::ShardedGrid`] pool, the same engine
 //!   behind every experiment sweep.
@@ -53,7 +62,7 @@
 
 use crate::planner::{CompiledPlan, CutPlanner, PlanBackend, PlanKey};
 use parking_lot::Mutex;
-use qpd::{Allocator, SequentialAllocator};
+use qpd::{Allocator, SequentialAllocator, TermSampler};
 use qsample::{GridKey, KeyHasher, ShardedGrid, StreamRng};
 use qsim::{Circuit, PauliString};
 use std::collections::HashMap;
@@ -74,7 +83,9 @@ pub enum AllocationMode {
     /// Every batch split equally across terms.
     StaticUniform,
     /// First batch proportional, later batches Neyman-optimal for the
-    /// per-term σ̂ observed so far ([`SequentialAllocator`]).
+    /// per-term σ̂ observed so far ([`SequentialAllocator`]). A batch no
+    /// larger than the term count takes the uniform split instead (see
+    /// the module docs).
     Sequential,
 }
 
@@ -306,7 +317,7 @@ impl CutService {
     ) -> JobOutcome {
         assert!(job.batches >= 1, "a job needs at least one batch");
         let (plan, key, cache_hit) = self.compiled(&job.circuit, &job.observable);
-        let samplers = plan.samplers();
+        let terms = plan.plan_terms();
         let num_terms = plan.spec.len();
         let mut seq = SequentialAllocator::new(num_terms);
         let mut updates = Vec::with_capacity(job.batches as usize);
@@ -335,7 +346,7 @@ impl CutService {
                 // addressed by content (seed, plan key, batch, term) and
                 // nothing else.
                 let mut lane = StreamRng::new(job.seed, key.0).derive(&[batch, term as u64]);
-                seq.record(term, samplers[term].sample_observable_sum(n, &mut lane), n);
+                seq.record(term, terms[term].sample_observable_sum(n, &mut lane), n);
             }
             let update = BatchUpdate {
                 batch,

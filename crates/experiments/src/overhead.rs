@@ -77,15 +77,15 @@ pub struct OverheadRow {
 /// `Σᵢ cᵢ²·σᵢ²/nᵢ` with `nᵢ = pᵢ·N`.
 pub fn predicted_variance(spec: &qpd::QpdSpec, exact_terms: &[f64], total_shots: u64) -> f64 {
     let alloc = Allocator::Proportional.allocate(spec, total_shots);
-    spec.terms()
+    spec.coefficients()
         .iter()
         .zip(exact_terms.iter())
         .zip(alloc.iter())
-        .map(|((t, &e), &n)| {
+        .map(|((c, &e), &n)| {
             if n == 0 {
                 0.0
             } else {
-                t.coefficient * t.coefficient * (1.0 - e * e) / n as f64
+                c * c * (1.0 - e * e) / n as f64
             }
         })
         .sum()

@@ -56,6 +56,12 @@ impl Allocator {
 /// a term's expectation sits near ±1 its variance vanishes and Neyman
 /// reallocates its shots to noisier terms. Terms with `σᵢ = 0` still get
 /// a floor of one shot each (their mean is needed, noiselessly).
+///
+/// The floor needs room: when `total` is no larger than the term count
+/// `m`, this returns the [`Allocator::Uniform`] split instead, which gives
+/// the **first** `total` terms one shot each and every later term none.
+/// The split is deterministic, so repeating such a batch shots the same
+/// terms again and never reaches the others.
 pub fn neyman_allocation(spec: &QpdSpec, sigmas: &[f64], total: u64) -> Vec<u64> {
     assert!(!spec.is_empty(), "{EMPTY_TERMS_MSG}");
     assert_eq!(spec.len(), sigmas.len());
@@ -68,10 +74,10 @@ pub fn neyman_allocation(spec: &QpdSpec, sigmas: &[f64], total: u64) -> Vec<u64>
         "per-term σ must be finite and non-negative: {sigmas:?}"
     );
     let weights: Vec<f64> = spec
-        .terms()
+        .coefficients()
         .iter()
         .zip(sigmas.iter())
-        .map(|(t, &s)| t.coefficient.abs() * s)
+        .map(|(c, &s)| c.abs() * s)
         .collect();
     let wsum: f64 = weights.iter().sum();
     if wsum < 1e-300 {
@@ -219,15 +225,19 @@ impl SequentialAllocator {
     }
 
     /// The pooled estimate `Σᵢ cᵢ · meanᵢ` over everything recorded so
-    /// far. Unbiased for the decomposed expectation as long as every
-    /// term has at least one pooled shot (guaranteed after one batch,
-    /// since [`neyman_allocation`] floors every term at one shot).
+    /// far, with an unsampled term pooled as mean 0. Unbiased for the
+    /// decomposed expectation only when every term has at least one
+    /// pooled shot, which one batch guarantees only when its budget
+    /// exceeds the term count ([`neyman_allocation`] floors every term
+    /// at one shot then). When every batch is no larger than the term
+    /// count, the terms past the first `batch` never get a shot, and the
+    /// estimate is biased by their missing `Σ cᵢ·⟨O⟩ᵢ`.
     pub fn estimate(&self, spec: &QpdSpec) -> f64 {
         assert_eq!(spec.len(), self.sums.len());
-        spec.terms()
+        spec.coefficients()
             .iter()
             .enumerate()
-            .map(|(i, t)| t.coefficient * self.mean(i))
+            .map(|(i, c)| c * self.mean(i))
             .sum()
     }
 }
@@ -411,6 +421,46 @@ mod tests {
         }
         // total == #terms: everyone gets exactly one.
         assert_eq!(neyman_allocation(&spec, &[0.3, 1.0, 0.7], 3), vec![1; 3]);
+    }
+
+    #[test]
+    fn under_budget_batches_shoot_only_the_leading_terms() {
+        let spec = QpdSpec::from_parts(&[
+            (0.5, "a", 0.0),
+            (0.4, "b", 0.0),
+            (-0.3, "c", 0.0),
+            (0.2, "d", 0.0),
+            (0.2, "e", 0.0),
+        ]);
+        let sigmas = [0.1, 1.0, 0.5, 0.9, 0.3];
+        // batch ≤ m: one shot for each of the first `batch` terms, none
+        // for the rest, whatever the weights.
+        for batch in 0..=5u64 {
+            let leading: Vec<u64> = (0..5).map(|i| u64::from(i < batch)).collect();
+            assert_eq!(neyman_allocation(&spec, &sigmas, batch), leading);
+            let seq = SequentialAllocator::new(spec.len());
+            assert_eq!(seq.next_allocation(&spec, batch), leading);
+        }
+        // batch > m: every term gets at least its one-shot floor.
+        for batch in [6u64, 7, 11, 500] {
+            let alloc = neyman_allocation(&spec, &sigmas, batch);
+            assert_eq!(alloc.iter().sum::<u64>(), batch);
+            assert!(alloc.iter().all(|&n| n >= 1), "batch {batch}: {alloc:?}");
+        }
+        // Repeated under-budget batches never reach the tail terms, which
+        // pool as mean 0.
+        let mut seq = SequentialAllocator::new(spec.len());
+        for _ in 0..4 {
+            let alloc = seq.next_allocation(&spec, 3);
+            assert_eq!(alloc, vec![1, 1, 1, 0, 0]);
+            for (i, &n) in alloc.iter().enumerate() {
+                if n > 0 {
+                    seq.record(i, n as f64, n);
+                }
+            }
+        }
+        assert_eq!((seq.count(3), seq.count(4)), (0, 0));
+        assert!((seq.estimate(&spec) - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -51,10 +51,10 @@ pub trait TermSampler {
 /// `Σᵢ cᵢ · exactᵢ`.
 pub fn exact_value(spec: &QpdSpec, terms: &[&dyn TermSampler]) -> f64 {
     assert_eq!(spec.len(), terms.len());
-    spec.terms()
+    spec.coefficients()
         .iter()
         .zip(terms.iter())
-        .map(|(t, s)| t.coefficient * s.exact_expectation())
+        .map(|(c, s)| c * s.exact_expectation())
         .sum()
 }
 
@@ -115,11 +115,16 @@ pub fn estimate_with_allocation<R: Rng>(
     assert_eq!(spec.len(), terms.len());
     assert_eq!(spec.len(), allocation.len());
     let mut value = 0.0;
-    for ((t, s), &n) in spec.terms().iter().zip(terms.iter()).zip(allocation.iter()) {
+    for ((c, s), &n) in spec
+        .coefficients()
+        .iter()
+        .zip(terms.iter())
+        .zip(allocation.iter())
+    {
         if n == 0 {
             continue;
         }
-        value += t.coefficient * (s.sample_observable_sum(n, rng) / n as f64);
+        value += c * (s.sample_observable_sum(n, rng) / n as f64);
     }
     value
 }

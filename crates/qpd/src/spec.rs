@@ -4,6 +4,13 @@
 //! implementable `Fᵢ` and real coefficients summing to 1. The sampling
 //! cost is governed by `κ = Σᵢ|cᵢ|` (Eq. 12–13): reproducing `E`'s
 //! expectation values to accuracy ε needs `O(κ²/ε²)` shots.
+//!
+//! A [`QpdSpec`] keeps what sampling reads — each term's coefficient and
+//! pair count — in flat arrays, and keeps labels factored: the product
+//! of several decompositions ([`QpdSpec::product`], the spec of a
+//! multi-cut plan) stores its factors' label tables and spells a term's
+//! `⊗`-joined label only when [`QpdSpec::label`] or [`QpdSpec::terms`]
+//! asks for it.
 
 /// Metadata of one QPD term: its signed coefficient, a display label, and
 /// how many pre-shared entangled pairs executing it consumes (0 for
@@ -19,9 +26,54 @@ pub struct TermSpec {
 }
 
 /// The coefficient structure of a quasiprobability decomposition.
+///
+/// Coefficients and pair counts are stored flat, one entry per term, so
+/// every estimator and allocator reads them without touching a label.
+/// Labels are display metadata and stay **factored**: a decomposition
+/// built from term metadata keeps its own label table, while a
+/// [`product`](QpdSpec::product) keeps only its factors' tables and
+/// spells a term's `⊗` join on demand ([`label`](QpdSpec::label)). A
+/// product of `Π mᵢ` terms therefore costs two `f64` per term and no
+/// string at all.
 #[derive(Clone, Debug)]
 pub struct QpdSpec {
-    terms: Vec<TermSpec>,
+    coefficients: Vec<f64>,
+    pairs: Vec<f64>,
+    labels: Labels,
+}
+
+/// Term labels, kept factored.
+#[derive(Clone, Debug)]
+enum Labels {
+    /// One label per term.
+    Table(Vec<String>),
+    /// The factors of a product with their term counts; term `i`'s label
+    /// joins the factors' labels at `i`'s odometer digits, skipping the
+    /// `⊗` before the first non-empty one. A factor that is itself a
+    /// product stays one factor: that skip applies within each product,
+    /// so splicing its factors into the outer list would change the
+    /// joins of empty labels.
+    Product(Vec<(usize, Labels)>),
+}
+
+impl Labels {
+    /// Appends term `index`'s label to `out`.
+    fn write(&self, index: usize, out: &mut String) {
+        match self {
+            Labels::Table(table) => out.push_str(&table[index]),
+            Labels::Product(factors) => {
+                let start = out.len();
+                let mut stride: usize = factors.iter().map(|(len, _)| len).product();
+                for (len, factor) in factors {
+                    stride /= len;
+                    if out.len() > start {
+                        out.push('⊗');
+                    }
+                    factor.write(index / stride % len, out);
+                }
+            }
+        }
+    }
 }
 
 impl QpdSpec {
@@ -30,12 +82,30 @@ impl QpdSpec {
     /// # Panics
     /// Panics if empty or if any coefficient is non-finite.
     pub fn new(terms: Vec<TermSpec>) -> Self {
-        assert!(!terms.is_empty(), "QPD needs at least one term");
+        let mut coefficients = Vec::with_capacity(terms.len());
+        let mut pairs = Vec::with_capacity(terms.len());
+        let labels = terms
+            .into_iter()
+            .map(|t| {
+                coefficients.push(t.coefficient);
+                pairs.push(t.pairs_consumed);
+                t.label
+            })
+            .collect();
+        Self::from_flat(coefficients, pairs, Labels::Table(labels))
+    }
+
+    fn from_flat(coefficients: Vec<f64>, pairs: Vec<f64>, labels: Labels) -> Self {
+        assert!(!coefficients.is_empty(), "QPD needs at least one term");
         assert!(
-            terms.iter().all(|t| t.coefficient.is_finite()),
+            coefficients.iter().all(|c| c.is_finite()),
             "non-finite QPD coefficient"
         );
-        Self { terms }
+        Self {
+            coefficients,
+            pairs,
+            labels,
+        }
     }
 
     /// Convenience constructor from `(coefficient, label, pairs)` tuples.
@@ -52,29 +122,46 @@ impl QpdSpec {
         )
     }
 
-    /// The term metadata.
-    pub fn terms(&self) -> &[TermSpec] {
-        &self.terms
+    /// Materialises every term's metadata, label strings included. This
+    /// allocates one `String` per term, so it is for diagnostics and
+    /// display; estimators read [`coefficients`](QpdSpec::coefficients).
+    pub fn terms(&self) -> Vec<TermSpec> {
+        (0..self.len())
+            .map(|i| TermSpec {
+                coefficient: self.coefficients[i],
+                label: self.label(i),
+                pairs_consumed: self.pairs[i],
+            })
+            .collect()
+    }
+
+    /// Term `index`'s label; a product term's is its factors' labels
+    /// joined with `⊗`.
+    pub fn label(&self, index: usize) -> String {
+        assert!(index < self.len(), "term {index} of {}", self.len());
+        let mut label = String::new();
+        self.labels.write(index, &mut label);
+        label
     }
 
     /// Number of terms `m`.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.coefficients.len()
     }
 
     /// `true` when there are no terms (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.coefficients.is_empty()
     }
 
     /// Signed coefficients `cᵢ`.
-    pub fn coefficients(&self) -> Vec<f64> {
-        self.terms.iter().map(|t| t.coefficient).collect()
+    pub fn coefficients(&self) -> &[f64] {
+        &self.coefficients
     }
 
     /// `κ = Σ|cᵢ|` — the one-shot sampling overhead factor (Eq. 12).
     pub fn kappa(&self) -> f64 {
-        self.terms.iter().map(|t| t.coefficient.abs()).sum()
+        self.coefficients.iter().map(|c| c.abs()).sum()
     }
 
     /// `κ²` — the multiplicative shot overhead to reach fixed accuracy.
@@ -86,29 +173,29 @@ impl QpdSpec {
     /// Sum of signed coefficients; must be 1 for a valid decomposition of
     /// a trace-preserving target.
     pub fn coefficient_sum(&self) -> f64 {
-        self.terms.iter().map(|t| t.coefficient).sum()
+        self.coefficients.iter().sum()
     }
 
     /// Sampling probabilities `pᵢ = |cᵢ|/κ` (Eq. 12).
     pub fn probabilities(&self) -> Vec<f64> {
         let k = self.kappa();
         assert!(k > 0.0, "zero-kappa QPD");
-        self.terms.iter().map(|t| t.coefficient.abs() / k).collect()
+        self.coefficients.iter().map(|c| c.abs() / k).collect()
     }
 
     /// Signs `sign(cᵢ)` as ±1.
     pub fn signs(&self) -> Vec<f64> {
-        self.terms.iter().map(|t| t.coefficient.signum()).collect()
+        self.coefficients.iter().map(|c| c.signum()).collect()
     }
 
     /// Expected entangled pairs consumed per QPD sample:
     /// `Σᵢ pᵢ · pairsᵢ`.
     pub fn expected_pairs_per_sample(&self) -> f64 {
         let probs = self.probabilities();
-        self.terms
+        self.pairs
             .iter()
             .zip(probs.iter())
-            .map(|(t, &p)| p * t.pairs_consumed)
+            .map(|(&pairs, &p)| p * pairs)
             .sum()
     }
 
@@ -128,37 +215,37 @@ impl QpdSpec {
     ///
     /// Terms are enumerated row-major (the **last** factor's index moves
     /// fastest), matching an odometer over `combo[g] = (i / strideᵍ) %
-    /// lenᵍ`; plan compilers that enumerate stitched term circuits must
-    /// use the same order so shot allocations line up term-by-term.
+    /// lenᵍ`; plan compilers that evaluate product terms must use the
+    /// same order so shot allocations line up term-by-term.
     /// `κ` multiplies: `κ(product) = Π κᵢ`.
+    ///
+    /// Coefficients and pair counts are computed by a left fold over the
+    /// factors (`((1·c₁)·c₂)·…`, `((0+p₁)+p₂)+…`) into flat per-term
+    /// arrays, also when a factor is itself a product. Labels are not
+    /// built: the product keeps its factors' label tables, and
+    /// [`label`](QpdSpec::label) joins them per term on demand.
     ///
     /// # Panics
     /// Panics when `specs` is empty.
     pub fn product(specs: &[QpdSpec]) -> QpdSpec {
         assert!(!specs.is_empty(), "product of zero QPDs");
-        let mut terms = vec![TermSpec {
-            coefficient: 1.0,
-            label: String::new(),
-            pairs_consumed: 0.0,
-        }];
+        let mut coefficients = vec![1.0];
+        let mut pairs = vec![0.0];
         for spec in specs {
-            let mut next = Vec::with_capacity(terms.len() * spec.len());
-            for acc in &terms {
-                for t in spec.terms() {
-                    next.push(TermSpec {
-                        coefficient: acc.coefficient * t.coefficient,
-                        label: if acc.label.is_empty() {
-                            t.label.clone()
-                        } else {
-                            format!("{}⊗{}", acc.label, t.label)
-                        },
-                        pairs_consumed: acc.pairs_consumed + t.pairs_consumed,
-                    });
+            let len = coefficients.len() * spec.len();
+            let mut next_coefficients = Vec::with_capacity(len);
+            let mut next_pairs = Vec::with_capacity(len);
+            for (&c, &p) in coefficients.iter().zip(&pairs) {
+                for (&tc, &tp) in spec.coefficients.iter().zip(&spec.pairs) {
+                    next_coefficients.push(c * tc);
+                    next_pairs.push(p + tp);
                 }
             }
-            terms = next;
+            coefficients = next_coefficients;
+            pairs = next_pairs;
         }
-        QpdSpec::new(terms)
+        let labels = Labels::Product(specs.iter().map(|s| (s.len(), s.labels.clone())).collect());
+        Self::from_flat(coefficients, pairs, labels)
     }
 }
 
@@ -257,6 +344,87 @@ mod tests {
             assert!((x.coefficient - y.coefficient).abs() < 1e-15);
             assert_eq!(x.label, y.label);
         }
+    }
+
+    /// The eager product this module used to build — one `TermSpec`
+    /// per term, labels formatted level by level — kept as the reference
+    /// the factored product is held to.
+    fn eager_product(specs: &[Vec<TermSpec>]) -> Vec<TermSpec> {
+        let mut terms = vec![TermSpec {
+            coefficient: 1.0,
+            label: String::new(),
+            pairs_consumed: 0.0,
+        }];
+        for spec in specs {
+            let mut next = Vec::with_capacity(terms.len() * spec.len());
+            for acc in &terms {
+                for t in spec {
+                    next.push(TermSpec {
+                        coefficient: acc.coefficient * t.coefficient,
+                        label: if acc.label.is_empty() {
+                            t.label.clone()
+                        } else {
+                            format!("{}⊗{}", acc.label, t.label)
+                        },
+                        pairs_consumed: acc.pairs_consumed + t.pairs_consumed,
+                    });
+                }
+            }
+            terms = next;
+        }
+        terms
+    }
+
+    fn assert_matches_eager(got: &QpdSpec, want: &[TermSpec]) {
+        assert_eq!(got.len(), want.len());
+        for (i, (t, w)) in got.terms().iter().zip(want).enumerate() {
+            assert_eq!(got.label(i), w.label, "term {i}");
+            assert_eq!(t.label, w.label, "term {i}");
+            assert_eq!(t.coefficient.to_bits(), w.coefficient.to_bits(), "term {i}");
+            assert_eq!(got.coefficients()[i].to_bits(), w.coefficient.to_bits());
+            assert_eq!(
+                t.pairs_consumed.to_bits(),
+                w.pairs_consumed.to_bits(),
+                "term {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn factored_product_matches_the_eager_fold_bit_for_bit() {
+        // Inexact coefficients make the fold order visible in the bits;
+        // `gaps` has empty labels, which join differently depending on
+        // whether they sit at the start of a (nested) product.
+        let a = QpdSpec::from_parts(&[
+            (0.1, "meas-H", 0.0),
+            (1.0 / 3.0, "meas-SH", 0.1),
+            (-0.7, "meas-prep", 0.2),
+        ]);
+        let b = QpdSpec::from_parts(&[(0.3, "tel", 1.0), (0.7, "mp", 0.3)]);
+        let gaps = QpdSpec::from_parts(&[(0.6, "", 0.7), (0.2, "x", 0.1), (0.2, "", 0.0)]);
+        let eager = |s: &QpdSpec| s.terms();
+        let ab = QpdSpec::product(&[a.clone(), b.clone()]);
+        let ab_eager = eager_product(&[eager(&a), eager(&b)]);
+        let gaps_b = QpdSpec::product(&[gaps.clone(), b.clone()]);
+        let gaps_b_eager = eager_product(&[eager(&gaps), eager(&b)]);
+        assert_matches_eager(&ab, &ab_eager);
+        assert_matches_eager(
+            &QpdSpec::product(&[a.clone(), gaps.clone(), b.clone(), a.clone()]),
+            &eager_product(&[eager(&a), eager(&gaps), eager(&b), eager(&a)]),
+        );
+        // Products whose factors are themselves products.
+        assert_matches_eager(
+            &QpdSpec::product(&[ab.clone(), gaps.clone(), ab.clone()]),
+            &eager_product(&[ab_eager.clone(), eager(&gaps), ab_eager.clone()]),
+        );
+        assert_matches_eager(
+            &QpdSpec::product(&[a.clone(), gaps_b.clone()]),
+            &eager_product(&[eager(&a), gaps_b_eager.clone()]),
+        );
+        assert_matches_eager(
+            &QpdSpec::product(&[gaps_b.clone(), gaps.clone()]),
+            &eager_product(&[gaps_b_eager, eager(&gaps)]),
+        );
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn contracted_terms_match_monolithic_and_uncut_on_randomized_circuits() {
 #[test]
 fn six_cut_plan_compiles_and_estimates_through_contraction() {
     // The acceptance bar: a ≥6-cut plan from `random_unitary_circuit`
-    // compiles through the contracted path (Σ 6^incoming fragment
+    // compiles through the contracted path (Σ 4^incoming fragment
     // variants) where the monolithic path would stitch Π terms ≥ 3^6
     // monolithic circuits, and its estimate is 5σ-correct. The cut
     // count is banded to 6..=8 — spec evaluation is Θ(Π terms) even

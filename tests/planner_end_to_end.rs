@@ -96,8 +96,8 @@ fn plans_are_deterministic_for_a_fixed_seed() {
     let obs = PauliString::from_label("ZZZZ");
     let sa = CompiledPlan::compile(&pa, &obs);
     let sb = CompiledPlan::compile(&pb, &obs);
-    let la: Vec<&str> = sa.spec.terms().iter().map(|t| t.label.as_str()).collect();
-    let lb: Vec<&str> = sb.spec.terms().iter().map(|t| t.label.as_str()).collect();
+    let la: Vec<String> = (0..sa.spec.len()).map(|i| sa.spec.label(i)).collect();
+    let lb: Vec<String> = (0..sb.spec.len()).map(|i| sb.spec.label(i)).collect();
     assert_eq!(la, lb);
     assert!((sa.spec.kappa() - sb.spec.kappa()).abs() < 1e-15);
 }

@@ -12,7 +12,9 @@
 
 use nme_wire_cutting::experiments::plan_cut::tractable_random_circuit;
 use nme_wire_cutting::qsim::{Circuit, PauliString};
-use nme_wire_cutting::wirecut::planner::{uncut_plan_expectation, CutPlanner, PlanBackend};
+use nme_wire_cutting::wirecut::planner::{
+    uncut_plan_expectation, CompiledPlan, CutPlanner, PlanBackend,
+};
 use nme_wire_cutting::wirecut::service::{AllocationMode, CutService, EstimationJob};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -302,5 +304,98 @@ fn monolithic_fallback_jobs_sample_the_uncut_value() {
                 assert_eq!(s.allocation, other.allocation);
             }
         }
+    }
+}
+
+/// FNV-1a over the little-endian bytes of a stream of 64-bit words: one
+/// number that pins a long sequence of float bits.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A 10-qubit rotated ladder: at width 2 it plans eight single-wire NME
+/// cuts, `3⁸ = 6561` product terms.
+fn rotated_ladder10() -> Circuit {
+    let mut c = Circuit::new(10, 0);
+    c.ry(0.4, 0);
+    for q in 0..9 {
+        c.cx(q, q + 1);
+        c.ry(0.3 + 0.05 * q as f64, q + 1);
+    }
+    c
+}
+
+/// The 8-cut ladder's compiled plan and two jobs on it, pinned by digest:
+/// every per-term value and coefficient, the exact value, and the
+/// estimate, streamed partials and pooled allocation of a sequential and
+/// a static-proportional job whose per-batch budget (3000) is below the
+/// term count. The compile path's spec, sweep and exact-value sum and the
+/// job path's allocation and sampling all feed these bits, so a change to
+/// any constant here is a change to job output and must be deliberate.
+#[test]
+fn eight_cut_ladder_outputs_are_pinned() {
+    let circuit = rotated_ladder10();
+    let obs = PauliString::from_label(&"Z".repeat(10));
+    let planner = CutPlanner::new(2).with_overlap(0.8);
+    let cut = planner.plan(&circuit);
+    assert_eq!(cut.num_cuts(), 8);
+    let plan = CompiledPlan::compile(&cut, &obs);
+    assert_eq!(plan.backend(), PlanBackend::Contracted);
+    assert_eq!(plan.spec.len(), 6561);
+    let values = digest(plan.exact_terms().iter().map(|v| v.to_bits()));
+    let coefficients = digest(plan.spec.coefficients().iter().map(|c| c.to_bits()));
+    let exact = plan.exact_value().to_bits();
+    assert_eq!(
+        (values, coefficients, exact),
+        (
+            0x5fd0_23a0_be6b_a4aa,
+            0xb4ec_f4e2_803a_8d0d,
+            0x3fdf_3279_6ff8_8aa0
+        ),
+        "term values, coefficients, exact value"
+    );
+    let svc = CutService::new(planner);
+    let cases = [
+        (
+            AllocationMode::Sequential,
+            0x3fda_a7fd_3fff_fff7u64,
+            0x21b1_2f35_6a9f_d806u64,
+            0x5a65_e351_1517_44c5u64,
+        ),
+        (
+            AllocationMode::StaticProportional,
+            0x3fed_6295_3fff_fffc,
+            0x9c62_4c67_7f5f_7f18,
+            0x95cb_722e_625d_a4c5,
+        ),
+    ];
+    for (mode, estimate, updates, allocation) in cases {
+        let job = EstimationJob::new(circuit.clone(), obs.clone(), 6000, 21)
+            .with_batches(2)
+            .with_mode(mode);
+        let out = svc.run_job(&job);
+        let got_updates = digest(
+            out.updates
+                .iter()
+                .flat_map(|u| [u.batch, u.shots_used, u.estimate.to_bits()]),
+        );
+        assert_eq!(
+            (
+                out.estimate.to_bits(),
+                got_updates,
+                digest(out.allocation.iter().copied())
+            ),
+            (estimate, updates, allocation),
+            "{mode:?}: estimate {}",
+            out.estimate
+        );
+        assert_eq!(out.exact.to_bits(), exact);
     }
 }
