@@ -1,244 +1,7 @@
-//! Runs every experiment in sequence (pass `--quick` for reduced scale,
-//! `--threads N` to pin the worker count of every sharded sweep; 0 or
-//! absent = auto), writing all CSVs under `results/` — the one-command
-//! regeneration of the paper's evaluation.
+//! Runs every experiment of the registry in order and writes all CSVs
+//! under `results/` — the one-command regeneration of the paper's
+//! evaluation. Usage: `run_all [--quick] [--threads N]`.
 
-use experiments::{
-    allocation, distill_cut, fig6, joint_cut, joint_scaling, multicut, noise, overhead, plan_cut,
-    service_load, tables, teleport_channel, werner, werner_sweep,
-};
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    // One flag for the whole run: every experiment config's `threads`
-    // field is set from here (0 = auto), so no per-experiment plumbing.
-    let threads = experiments::threads_flag(&args);
-    let dir = experiments::results_dir();
-    println!("== E3/E4/E6/E7: closed-form tables ==");
-    tables::overlap_table(21)
-        .write_csv(&dir.join("overlap_formulas.csv"))
-        .unwrap();
-    tables::bell_overlap_table(21)
-        .write_csv(&dir.join("bell_overlaps.csv"))
-        .unwrap();
-    tables::consumption_table(21)
-        .write_csv(&dir.join("pair_consumption.csv"))
-        .unwrap();
-    tables::endpoints_table()
-        .write_csv(&dir.join("endpoints.csv"))
-        .unwrap();
-
-    println!("== E5: teleportation channel tomography ==");
-    let rows = teleport_channel::run(21);
-    teleport_channel::to_table(&rows)
-        .write_csv(&dir.join("teleport_channel.csv"))
-        .unwrap();
-    teleport_channel::werner_channel_table(11)
-        .write_csv(&dir.join("teleport_channel_werner.csv"))
-        .unwrap();
-
-    println!("== E1: Figure 6 ==");
-    let mut cfg = if quick {
-        fig6::Fig6Config {
-            num_states: 100,
-            ..Default::default()
-        }
-    } else {
-        fig6::Fig6Config::default()
-    };
-    cfg.threads = threads;
-    let res = fig6::run(&cfg);
-    res.to_table()
-        .write_csv(&dir.join("fig6_error_vs_shots.csv"))
-        .unwrap();
-    println!(
-        "   ordering check: {}",
-        res.final_errors_ordered_by_entanglement()
-    );
-
-    println!("== E2: overhead vs entanglement ==");
-    let mut cfg = if quick {
-        overhead::OverheadConfig {
-            repetitions: 40,
-            num_states: 6,
-            ..Default::default()
-        }
-    } else {
-        overhead::OverheadConfig::default()
-    };
-    cfg.threads = threads;
-    overhead::to_table(&overhead::run(&cfg))
-        .write_csv(&dir.join("overhead_vs_entanglement.csv"))
-        .unwrap();
-
-    println!("== E8: allocation ablation ==");
-    let mut cfg = if quick {
-        allocation::AllocationConfig {
-            num_states: 12,
-            repetitions: 12,
-            ..Default::default()
-        }
-    } else {
-        allocation::AllocationConfig::default()
-    };
-    cfg.threads = threads;
-    allocation::run(&cfg)
-        .write_csv(&dir.join("allocation_ablation.csv"))
-        .unwrap();
-
-    println!("== E9: multi-cut scaling ==");
-    let mut cfg = if quick {
-        multicut::MultiCutConfig {
-            wire_counts: vec![1, 2],
-            num_states: 4,
-            repetitions: 6,
-            ..Default::default()
-        }
-    } else {
-        multicut::MultiCutConfig::default()
-    };
-    cfg.threads = threads;
-    multicut::run(&cfg)
-        .write_csv(&dir.join("multicut_scaling.csv"))
-        .unwrap();
-
-    println!("== E10: Werner resources ==");
-    let mut cfg = if quick {
-        werner::WernerConfig {
-            num_states: 6,
-            repetitions: 8,
-            ..Default::default()
-        }
-    } else {
-        werner::WernerConfig::default()
-    };
-    cfg.threads = threads;
-    werner::run(&cfg)
-        .write_csv(&dir.join("werner_resources.csv"))
-        .unwrap();
-
-    println!("== E11: joint parallel wire cutting ==");
-    let mut cfg = if quick {
-        joint_cut::JointConfig {
-            num_states: 4,
-            repetitions: 6,
-            ..Default::default()
-        }
-    } else {
-        joint_cut::JointConfig::default()
-    };
-    cfg.threads = threads;
-    joint_cut::run(&cfg)
-        .write_csv(&dir.join("joint_cut.csv"))
-        .unwrap();
-
-    println!("== E12: noise resilience ==");
-    let mut cfg = if quick {
-        noise::NoiseConfig {
-            num_states: 4,
-            repetitions: 6,
-            ..Default::default()
-        }
-    } else {
-        noise::NoiseConfig::default()
-    };
-    cfg.threads = threads;
-    noise::run(&cfg)
-        .write_csv(&dir.join("noise_bias.csv"))
-        .unwrap();
-
-    println!("== E13: joint multi-wire scaling ==");
-    let mut cfg = if quick {
-        joint_scaling::JointScalingConfig {
-            max_wires: 4,
-            nme_max_wires: 2,
-            shot_wires: vec![1, 2],
-            shot_grid: vec![100, 1_000, 10_000],
-            num_states: 3,
-            repetitions: 6,
-            ..Default::default()
-        }
-    } else {
-        joint_scaling::JointScalingConfig::default()
-    };
-    cfg.threads = threads;
-    joint_scaling::crossover_table(&cfg)
-        .write_csv(&dir.join("joint_scaling_crossover.csv"))
-        .unwrap();
-    joint_scaling::nme_sweep_table(&cfg)
-        .write_csv(&dir.join("joint_scaling_nme.csv"))
-        .unwrap();
-    joint_scaling::shots_table(&cfg)
-        .write_csv(&dir.join("joint_scaling_shots.csv"))
-        .unwrap();
-
-    println!("== E15: Werner p-sweep ==");
-    let mut cfg = if quick {
-        werner_sweep::WernerSweepConfig {
-            p_steps: 11,
-            num_states: 6,
-            repetitions: 24,
-            ..Default::default()
-        }
-    } else {
-        werner_sweep::WernerSweepConfig::default()
-    };
-    cfg.threads = threads;
-    werner_sweep::run(&cfg)
-        .write_csv(&dir.join("werner_sweep.csv"))
-        .unwrap();
-
-    println!("== E16: distill-then-cut (p, m) map ==");
-    let mut cfg = if quick {
-        distill_cut::DistillCutConfig {
-            p_steps: 9,
-            max_rounds: 3,
-            num_states: 5,
-            repetitions: 16,
-            ..Default::default()
-        }
-    } else {
-        distill_cut::DistillCutConfig::default()
-    };
-    cfg.threads = threads;
-    distill_cut::run(&cfg)
-        .write_csv(&dir.join("distill_cut.csv"))
-        .unwrap();
-    distill_cut::frontier(&cfg)
-        .write_csv(&dir.join("distill_cut_frontier.csv"))
-        .unwrap();
-
-    println!("== E17: arbitrary-circuit cut planner ==");
-    let mut cfg = if quick {
-        plan_cut::PlanCutConfig {
-            overlaps: vec![0.52, 0.75, 1.0],
-            num_circuits: 3,
-            repetitions: 8,
-            ..Default::default()
-        }
-    } else {
-        plan_cut::PlanCutConfig::default()
-    };
-    cfg.threads = threads;
-    plan_cut::run(&cfg)
-        .write_csv(&dir.join("plan_cut.csv"))
-        .unwrap();
-
-    println!("== E18: cutting-as-a-service load ==");
-    let mut cfg = if quick {
-        service_load::ServiceLoadConfig {
-            num_circuits: 2,
-            repetitions: 8,
-            ..Default::default()
-        }
-    } else {
-        service_load::ServiceLoadConfig::default()
-    };
-    cfg.threads = threads;
-    service_load::run(&cfg)
-        .write_csv(&dir.join("service_load.csv"))
-        .unwrap();
-
-    println!("all results written to {}", dir.display());
+fn main() -> std::process::ExitCode {
+    experiments::registry::main(false)
 }

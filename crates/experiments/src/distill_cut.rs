@@ -35,7 +35,7 @@
 //! parameters (paired design), and the CSVs are byte-identical for any
 //! thread count (`tests/sharding_determinism.rs`).
 //!
-//! Run via `cargo run --release -p experiments --bin distill_cut`
+//! Run via `cargo run --release -p experiments --bin experiment -- distill_cut`
 //! (writes `results/distill_cut.csv` and
 //! `results/distill_cut_frontier.csv`).
 

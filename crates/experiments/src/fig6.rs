@@ -143,7 +143,7 @@ impl Fig6Result {
 
     /// The theoretical large-N prediction `ε ≈ κ·√(2/(πN))·c` ordering:
     /// checks that measured errors are ordered by overhead at the final
-    /// checkpoint (used by tests and the self-check in the binary).
+    /// checkpoint (used by tests and the `fig6` registry entry's self-check).
     pub fn final_errors_ordered_by_entanglement(&self) -> bool {
         let last = self.config.shot_checkpoints.len() - 1;
         let final_errors: Vec<f64> = (0..self.config.overlaps.len())

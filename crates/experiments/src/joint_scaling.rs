@@ -23,7 +23,7 @@
 //!    `10² … 10⁵` shot grid, all through the batched
 //!    `TermSampler::sample_observable_sum` path.
 //!
-//! Run via `cargo run --release -p experiments --bin joint_scaling`
+//! Run via `cargo run --release -p experiments --bin experiment -- joint_scaling`
 //! (writes `results/joint_scaling_{crossover,nme,shots}.csv`).
 
 use crate::csvout::Table;

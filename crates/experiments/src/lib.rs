@@ -25,8 +25,10 @@
 //! work-stealing map), [`stats`] (Welford accumulators, Wilson
 //! intervals), [`csvout`] (CSV/pretty tables into `results/`).
 //!
-//! Each experiment has a matching binary (`cargo run --release -p
-//! experiments --bin <name>`) and a criterion bench in the `bench` crate.
+//! [`registry`] lists every experiment once, with its quick and full
+//! config. Two binaries iterate over it: `run_all [--quick] [--threads N]`
+//! runs every entry, and `experiment <id> [--quick] [--threads N]` runs
+//! one. Each experiment also has a criterion bench in the `bench` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +45,7 @@ pub mod noise;
 pub mod overhead;
 pub mod par;
 pub mod plan_cut;
+pub mod registry;
 pub mod service_load;
 pub mod stats;
 pub mod tables;
@@ -54,19 +57,3 @@ pub use csvout::{results_dir, Table};
 pub use grid::{keyed_stream, GridKey, KeyHasher, ShardCtx, ShardResult, ShardedGrid};
 pub use par::{default_threads, item_seed, parallel_map_indexed};
 pub use stats::RunningStats;
-
-/// Parses the shared `--threads N` CLI flag used by the experiment
-/// binaries (0 or absent = auto), warning on a malformed value instead
-/// of silently falling back.
-pub fn threads_flag(args: &[String]) -> usize {
-    match args.iter().position(|a| a == "--threads") {
-        None => 0,
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
-            Some(Ok(n)) => n,
-            _ => {
-                eprintln!("warning: --threads expects a worker count (0 = auto); using auto");
-                0
-            }
-        },
-    }
-}

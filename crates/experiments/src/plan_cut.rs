@@ -31,7 +31,7 @@
 //! cell, and how much frontier work the contracted backend's
 //! prefix-cached odometer sweep saved over a cache-disabled evaluation.
 //!
-//! Run via `cargo run --release -p experiments --bin plan_cut`
+//! Run via `cargo run --release -p experiments --bin experiment -- plan_cut`
 //! (writes `results/plan_cut.csv`).
 
 use crate::csvout::Table;

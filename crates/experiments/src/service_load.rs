@@ -20,9 +20,10 @@
 //! content-keyed streams, and rows aggregate in submission order — so
 //! `tests/sharding_determinism.rs` pins it byte-identical across thread
 //! counts. Timing/throughput figures are deliberately **not** columns
-//! (they vary run to run); the binary prints them to stdout instead.
+//! (they vary run to run); its registry entry prints them to stdout
+//! instead.
 //!
-//! Run via `cargo run --release -p experiments --bin service_load`
+//! Run via `cargo run --release -p experiments --bin experiment -- service_load`
 //! (writes `results/service_load.csv`).
 
 use crate::csvout::Table;

@@ -33,7 +33,7 @@
 //! so every `p` measures the same states (paired design), and the CSV is
 //! byte-identical for any thread count.
 //!
-//! Run via `cargo run --release -p experiments --bin werner_sweep`
+//! Run via `cargo run --release -p experiments --bin experiment -- werner_sweep`
 //! (writes `results/werner_sweep.csv`).
 
 use crate::csvout::Table;
