@@ -8,7 +8,7 @@
 //!
 //! Planning itself (DAG analysis + fragmentation + protocol choice) is
 //! microseconds; the dominant costs are term-circuit compilation
-//! (`Σ 4^incoming` fragment prep variants contracted, `Π terms(group)`
+//! (one Choi-state run per fragment contracted, `Π terms(group)`
 //! stitched circuits monolithic) and batched sampling. All workloads
 //! derive their circuits from fixed seeds so every run and every thread
 //! count measures identical work.
@@ -19,7 +19,8 @@ use qpd::{Allocator, QpdSpec};
 use qsim::{Circuit, PauliString};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wirecut::contract::FragmentBlocks;
+use std::ops::Range;
+use wirecut::contract::{FragmentBlocks, MAX_INCOMING};
 use wirecut::planner::{CompiledPlan, CutPlanner};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -129,7 +130,7 @@ fn compiled_plan_sampling(c: &mut Criterion) {
 /// sweep. A CX ladder on `k + 2` qubits planned at width budget 2
 /// yields exactly `k` single-wire NME cuts, so the monolithic backend
 /// stitches `3^k` product circuits while the contracted backend
-/// compiles `Σ 4^incoming` fragment variants (linear in `k` here).
+/// runs each fragment once, on its Choi state (linear in `k` here).
 /// Monolithic is capped at 4 cuts — past that its exponential bill
 /// dominates the whole bench run, which is precisely the regression the
 /// contracted series guards against. The `sweep_cached` /
@@ -196,26 +197,31 @@ fn cut_count_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fan-in circuit whose target fragment takes five cut wires at width
-/// budget 6: fragment A (helpers `0..3`, sources `3..6`) hands three
-/// wires over as one joint-MUB group, fragment B (helpers `6..10`,
-/// sources `10..12`) two more, and the target block entangles all five
-/// sources with target qubit 12. `local` adds each qubit's local gates.
-fn fan_in_5(local: impl Fn(&mut Circuit, usize)) -> Circuit {
-    let mut c = Circuit::new(13, 0);
-    for (helpers, sources) in [(0..3, 3..6), (6..10, 10..12)] {
-        let sources: Vec<usize> = sources.collect();
+/// Fan-in circuit: each `(helpers, sources)` part fills one source
+/// fragment at the planner's width budget and hands its sources over as
+/// one cut group, and the target block entangles every source with the
+/// `target` qubit (the last one). `local` adds each qubit's local gates.
+fn fan_in(
+    parts: &[(Range<usize>, Range<usize>)],
+    target: usize,
+    local: impl Fn(&mut Circuit, usize),
+) -> Circuit {
+    let mut c = Circuit::new(target + 1, 0);
+    let mut block = Vec::new();
+    for (helpers, sources) in parts {
+        let sources: Vec<usize> = sources.clone().collect();
         for q in helpers.clone().chain(sources.iter().copied()) {
             local(&mut c, q);
         }
-        for (i, h) in helpers.enumerate() {
+        for (i, h) in helpers.clone().enumerate() {
             c.cx(h, sources[i % sources.len()]);
         }
         for w in sources.windows(2) {
             c.cx(w[0], w[1]);
         }
+        block.extend(sources);
     }
-    let block = [3, 4, 5, 10, 11, 12];
+    block.push(target);
     for w in block.windows(2) {
         c.cx(w[0], w[1]);
     }
@@ -228,15 +234,39 @@ fn fan_in_5(local: impl Fn(&mut Circuit, usize)) -> Circuit {
     c
 }
 
-/// `FragmentBlocks::build` alone — the per-fragment prep-variant
-/// simulations and the prep→Pauli fold — on an 8-cut ladder (one
-/// incoming wire per fragment) and on 5-input fan-ins with and without
-/// rotations (`4^5` variants of the target fragment). The Clifford-only
-/// fan-in runs each variant on the tableau end to end.
+/// Target fragment fed by five cut wires at width budget 6: fragment A
+/// (helpers `0..3`, sources `3..6`) hands three wires over as one
+/// joint-MUB group, fragment B (helpers `6..10`, sources `10..12`) two
+/// more, and the target block adds qubit 12.
+fn fan_in_5(local: impl Fn(&mut Circuit, usize)) -> Circuit {
+    fan_in(&[(0..3, 3..6), (6..10, 10..12)], 12, local)
+}
+
+/// Target fragment fed by [`MAX_INCOMING`] = 8 cut wires at width budget
+/// 9: three 9-wide source fragments hand over 3 + 3 + 2 wires, and the
+/// target block adds qubit 27.
+fn fan_in_8(local: impl Fn(&mut Circuit, usize)) -> Circuit {
+    fan_in(
+        &[(0..6, 6..9), (9..15, 15..18), (18..25, 25..27)],
+        27,
+        local,
+    )
+}
+
+/// `FragmentBlocks::build` alone — one Choi-state run per fragment and
+/// its Pauli-row readout — on an 8-cut ladder (one incoming wire per
+/// fragment), on 5-input fan-ins with and without rotations (a
+/// `6 + 5`-qubit Choi run for the target fragment), and on an 8-input
+/// rotated fan-in (`9 + 8` qubits, the [`MAX_INCOMING`] cap). The
+/// Clifford-only fan-in runs every fragment on the tableau until the
+/// readout.
 fn block_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_planner/block_build");
     group.sample_size(10);
     let rotated = fan_in_5(|c, q| {
+        c.ry(0.3 + 0.2 * q as f64, q).rz(1.7 - 0.1 * q as f64, q);
+    });
+    let rotated8 = fan_in_8(|c, q| {
         c.ry(0.3 + 0.2 * q as f64, q).rz(1.7 - 0.1 * q as f64, q);
     });
     let clifford = fan_in_5(|c, q| {
@@ -268,6 +298,13 @@ fn block_build(c: &mut Criterion) {
             CutPlanner::new(6).with_overlap(0.55),
             5,
             5,
+        ),
+        (
+            "fanin8_rotations",
+            rotated8,
+            CutPlanner::new(9).with_overlap(0.55),
+            MAX_INCOMING,
+            MAX_INCOMING,
         ),
     ];
     for (name, circuit, planner, cuts, widest) in cases {

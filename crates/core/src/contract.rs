@@ -22,24 +22,28 @@
 //!   entries per term and cost `O(d⁵)` tomography to build.
 //! * **Fragment blocks** — each fragment `F` is analysed once
 //!   ([`CircuitProgram`]: Clifford-prefix split and dense-suffix fusion)
-//!   and run once per local *variant*: every incoming cut wire is
-//!   prepared in one of the four tomographically complete states
-//!   `|0⟩, |1⟩, |+⟩, |+i⟩`, seeded onto the stabilizer tableau, and all
-//!   outgoing-Pauli ⊗ local-Z expectations are read off with
-//!   [`qsim::StateVector::expval_pauli`]. A 4×4 change of basis along
-//!   each incoming axis (`I/2 = ½|0⟩⟨0| + ½|1⟩⟨1|`,
-//!   `Z/2 = ½|0⟩⟨0| − ½|1⟩⟨1|`, `X/2 = |+⟩⟨+| − I/2`,
-//!   `Y/2 = |+i⟩⟨+i| − I/2`) folds the variants into the block tensor
-//!   `F[a_in, b_out] = Tr[(P_{b_out} ⊗ Z_local) · E_F(σ_{a_in}/2 ⊗ |0⟩⟨0|)]`,
-//!   stored in **CSR form** over the incoming index `a` (Clifford-heavy
-//!   fragments have near-permutation Pauli-transfer rows, so most
-//!   entries vanish). Fragments containing mid-circuit **measurement or
-//!   feed-forward** are admitted: the channel `E_F` then branches over
-//!   classical outcomes, and the block entry is the
-//!   outcome-probability-weighted sum over the sampler's branch leaves —
-//!   one sub-block per outcome, folded on the spot. Only a classical bit
-//!   *shared between fragments* breaks fragment independence and forces
-//!   the monolithic fallback ([`contraction_ineligibility`]).
+//!   and run **once, on its Choi state** ([`CircuitProgram::run_choi`]):
+//!   every incoming cut wire is paired with a reference qubit in
+//!   `(|00⟩ + |11⟩)/√2` — the Bell-pair resource the teleportation
+//!   baseline consumes — seeded onto the stabilizer tableau. The block
+//!   tensor `F[a_in, b_out] = Tr[(P_{b_out} ⊗ Z_local) ·
+//!   E_F(σ_{a_in}/2 ⊗ |0⟩⟨0|)]` is a Pauli expectation on that state:
+//!   `F[a, b] = Tr[σ_a · M_b]` for the reduced operator
+//!   `M_b[j, k] = Σ_f conj(ψ[f, j]) · ((P_b ⊗ Z_local)ψ)[f, k]` over the
+//!   fragment index `f` (`j`, `k` index the reference qubits). A 4×4
+//!   change of basis along each incoming axis (`I = m00 + m11`,
+//!   `X = m01 + m10`, `Y = i(m01 − m10)`, `Z = m00 − m11`) folds `M_b`
+//!   into Pauli rows, and the block is stored in **CSR form** over the
+//!   incoming index `a` (Clifford-heavy fragments have
+//!   near-permutation Pauli-transfer rows, so most entries vanish).
+//!   Fragments containing mid-circuit **measurement or feed-forward**
+//!   are admitted unchanged: branching on the Choi state *is* the
+//!   channel (a branch's probability is `Tr[K_m K_m†] / 2^in` for its
+//!   Kraus operator `K_m`), so the block entry is the
+//!   outcome-probability-weighted sum over the run's branch leaves. Only
+//!   a classical bit *shared between fragments* breaks fragment
+//!   independence and forces the monolithic fallback
+//!   ([`contraction_ineligibility`]).
 //! * **Prefix-cached frontier contraction** — a product term's exact
 //!   expectation is the frontier contraction `Σ F_dest[a] · R[a, b] ·
 //!   F_src[b]` chained through the fragments in program order. The walk
@@ -63,9 +67,10 @@
 //!   Hit/rebuild and frontier-op counters surface through
 //!   [`crate::planner::BackendReport`].
 //!
-//! Total cost is `Σ_F 4^{in(F)}` fragment runs plus an amortized
-//! O(1) frontier contraction per term — `Σ variants(fragment)` instead
-//! of `Π terms(group)` — so plans with 6+ cuts compile where the
+//! Total cost is one run per fragment (on `width + in` qubits, read
+//! out in `O(4^out · 2^width · 4^in)` per branch leaf) plus an amortized
+//! O(1) frontier contraction per term — `Σ runs(fragment)` instead of
+//! `Π terms(group)` — so plans with 6+ cuts compile where the
 //! monolithic path blows up. The monolithic compiler stays as the
 //! pristine differential-testing reference
 //! (`tests/fragment_contraction.rs`), mirroring how `compile_dense`
@@ -75,14 +80,20 @@ use crate::mub::{mub_error_pauli, MubField};
 use crate::nme::NmeCut;
 use crate::planner::{BackendReport, CutGroup, CutPlan, Protocol};
 use crate::term::{term_channel, WireCut};
-use qlinalg::Matrix;
+use qlinalg::{Complex64, Matrix, C_ZERO};
 use qsim::{
-    fragment_circuit, CircuitProgram, Op, Pauli, PauliString, StabilizerPrep, Superoperator,
+    fragment_circuit, CircuitProgram, CompiledSampler, Op, Pauli, PauliString, Superoperator,
 };
 
-/// Hard cap on incoming cut wires per fragment for the contracted path
-/// (`4^incoming` prep variants per fragment).
+/// Hard cap on incoming cut wires per fragment for the contracted path.
+/// The fragment's Choi run carries one reference qubit per incoming
+/// wire, and its readout costs `4^incoming` per fragment amplitude and
+/// readout column.
 pub const MAX_INCOMING: usize = 8;
+
+/// Cap on a fragment's width plus its incoming cut wires: the qubits of
+/// its Choi run, which must fit one dense state vector.
+pub const MAX_CHOI_QUBITS: usize = 30;
 
 /// Hard cap on joint-MUB group width for the contracted path. The
 /// diagonal sparse transfer is `4ⁿ` per term, so the binding cost at
@@ -112,25 +123,6 @@ pub(crate) fn decode_odometer(
 /// never moves a term value observably.
 const SPARSE_CUTOFF: f64 = 1e-14;
 
-/// The tomographically complete prep set, indexed `0..4`: `|0⟩, |1⟩,
-/// |+⟩, |+i⟩`.
-const PREPS: [StabilizerPrep; 4] = [
-    StabilizerPrep::Zero,
-    StabilizerPrep::One,
-    StabilizerPrep::Plus,
-    StabilizerPrep::PlusI,
-];
-
-/// Change of basis from [`PREPS`] projectors to halved Paulis (rows
-/// `I/X/Y/Z`): `I/2 = ½|0⟩⟨0| + ½|1⟩⟨1|`, `X/2 = |+⟩⟨+| − I/2`,
-/// `Y/2 = |+i⟩⟨+i| − I/2`, `Z/2 = ½|0⟩⟨0| − ½|1⟩⟨1|`.
-const PREP_TO_PAULI: [[f64; 4]; 4] = [
-    [0.5, 0.5, 0.0, 0.0],
-    [-0.5, -0.5, 1.0, 0.0],
-    [-0.5, -0.5, 0.0, 1.0],
-    [0.5, -0.5, 0.0, 0.0],
-];
-
 /// `true` when `plan` can compile through the contracted fragment-block
 /// path — see [`contraction_ineligibility`] for the full rule set and
 /// the named reason when it cannot.
@@ -149,9 +141,11 @@ pub fn supports_contraction(plan: &CutPlan) -> bool {
 ///    blocks cannot express;
 /// 3. joint-MUB group width ≤ [`MAX_JOINT_WIRES`];
 /// 4. incoming cut wires per fragment ≤ [`MAX_INCOMING`], so a wide
-///    fragment is rejected by name before its `4^incoming` prep
-///    variants are simulated;
-/// 5. per-group term counts and their running product stay inside
+///    fan-in is rejected by name before its `4^incoming`-sized readout
+///    is built;
+/// 5. fragment width + incoming cut wires ≤ [`MAX_CHOI_QUBITS`], the
+///    qubits of the fragment's Choi run;
+/// 6. per-group term counts and their running product stay inside
 ///    `usize` (computed via `checked_pow`/`checked_mul` — the odometer
 ///    sweep indexes `Π terms(group)` combinations).
 pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
@@ -198,7 +192,17 @@ pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
         if n_in > MAX_INCOMING {
             return Some(format!(
                 "fragment {fi} receives {n_in} cut wires, above the MAX_INCOMING = \
-                 {MAX_INCOMING} variant cap"
+                 {MAX_INCOMING} cap"
+            ));
+        }
+    }
+    for (fi, (frag, &n_in)) in plan.fragments.iter().zip(&incoming).enumerate() {
+        if frag.width() + n_in > MAX_CHOI_QUBITS {
+            return Some(format!(
+                "fragment {fi} is {} wires wide and receives {n_in} cut wires: its Choi \
+                 run needs {} qubits, above the MAX_CHOI_QUBITS = {MAX_CHOI_QUBITS} cap",
+                frag.width(),
+                frag.width() + n_in
             ));
         }
     }
@@ -326,23 +330,164 @@ fn joint_transfer_diagonals(n: usize) -> Vec<Vec<f64>> {
     diags
 }
 
-/// Builds one group's transfer matrices from its protocol.
-fn group_transfer(group: &CutGroup) -> GroupTransfer {
-    match group.protocol {
-        Protocol::Nme { k } => {
-            let per_term: Vec<[[f64; 4]; 4]> = NmeCut::new(k)
-                .terms()
-                .iter()
-                .map(|t| ptm_1q(&term_channel(t)))
-                .collect();
-            GroupTransfer::PerWire {
-                wires: group.num_wires(),
-                per_term,
+/// Builds every group's transfer matrices from its protocol. NME groups
+/// with the same `k` (bit for bit) share one set of per-wire PTMs,
+/// computed once per plan.
+fn group_transfers(groups: &[CutGroup]) -> Vec<GroupTransfer> {
+    let mut nme: Vec<(u64, Vec<[[f64; 4]; 4]>)> = Vec::new();
+    groups
+        .iter()
+        .map(|group| match group.protocol {
+            Protocol::Nme { k } => {
+                let per_term = match nme.iter().find(|(bits, _)| *bits == k.to_bits()) {
+                    Some((_, per_term)) => per_term.clone(),
+                    None => {
+                        let per_term: Vec<[[f64; 4]; 4]> = NmeCut::new(k)
+                            .terms()
+                            .iter()
+                            .map(|t| ptm_1q(&term_channel(t)))
+                            .collect();
+                        nme.push((k.to_bits(), per_term.clone()));
+                        per_term
+                    }
+                };
+                GroupTransfer::PerWire {
+                    wires: group.num_wires(),
+                    per_term,
+                }
+            }
+            Protocol::JointMub => GroupTransfer::Joint {
+                diags: joint_transfer_diagonals(group.num_wires()),
+            },
+        })
+        .collect()
+}
+
+/// One block column's readout `O_b = P_b ⊗ Z_local` on a fragment, as
+/// the action `O_b|f⟩ = phase · (−1)^{popcount(f & z)} · |f ⊕ x⟩` on
+/// fragment basis states.
+#[derive(Clone, Copy, Debug)]
+struct Readout {
+    /// Qubits the readout flips (its X and Y factors).
+    x: usize,
+    /// Qubits whose bit signs the amplitude (its Y and Z factors).
+    z: usize,
+    /// `i^{#Y}`.
+    phase: Complex64,
+}
+
+impl Readout {
+    /// Every column's readout, in block column order: base-4 digit `i`
+    /// of column `b` is the Pauli (`I/X/Y/Z = 0/1/2/3`) on
+    /// `out_qubits[i]`, times `Z` on every qubit of the `z_local` mask.
+    fn columns(out_qubits: &[usize], z_local: usize) -> Vec<Readout> {
+        (0..1usize << (2 * out_qubits.len()))
+            .map(|b| {
+                let mut r = Readout {
+                    x: 0,
+                    z: z_local,
+                    phase: Complex64::new(1.0, 0.0),
+                };
+                for (i, &q) in out_qubits.iter().enumerate() {
+                    let bit = 1usize << q;
+                    match (b >> (2 * i)) & 3 {
+                        1 => r.x |= bit,
+                        2 => {
+                            r.x |= bit;
+                            r.z |= bit;
+                            r.phase *= Complex64::i();
+                        }
+                        3 => r.z |= bit,
+                        _ => {}
+                    }
+                }
+                r
+            })
+            .collect()
+    }
+}
+
+/// Reads a fragment's dense block table off its Choi run
+/// ([`CircuitProgram::run_choi`] with `n_in` reference qubits): row `a`
+/// (base-4 digit `i` = the Pauli on incoming slot `i`), column `b`
+/// (`readouts[b]`), row-major. For each branch leaf `ψ` and readout
+/// `O_b` it forms the reduced operator `M_b[j, k] = Σ_f conj(ψ[f, j]) ·
+/// (O_b ψ)[f, k]` over the fragment index `f`, folds it into Pauli rows
+/// `F[a, b] = Tr[σ_a · M_b]` and adds it weighted by the leaf's
+/// probability. `M_b` is Hermitian, so only its upper triangle is
+/// summed.
+fn choi_block_table(sampler: &CompiledSampler, n_in: usize, readouts: &[Readout]) -> Vec<f64> {
+    let d = 1usize << n_in;
+    let dim_out = readouts.len();
+    let mut table = vec![0.0f64; d * d * dim_out];
+    // Pauli row of the flat index `j·d + k`: axis `i`'s digit is
+    // `2·j_i + k_i` (`I/X/Y/Z` after the fold).
+    let spread: Vec<usize> = (0..d)
+        .map(|v| (0..n_in).map(|i| ((v >> i) & 1) << (2 * i)).sum())
+        .collect();
+    let row_of: Vec<usize> = (0..d * d)
+        .map(|jk| (spread[jk >> n_in] << 1) | spread[jk & (d - 1)])
+        .collect();
+    let mut psi: Vec<Complex64> = Vec::new();
+    let mut m = vec![C_ZERO; d * d];
+    for leaf in sampler.leaves() {
+        let amps = leaf.state.amplitudes();
+        let width = leaf.state.num_qubits() - n_in;
+        let f_mask = (1usize << width) - 1;
+        // Fragment-major copy: `psi[f·d + j] = ψ[f | j << width]`.
+        psi.clear();
+        psi.resize(amps.len(), C_ZERO);
+        for (idx, &a) in amps.iter().enumerate() {
+            psi[(idx & f_mask) * d + (idx >> width)] = a;
+        }
+        for (b, r) in readouts.iter().enumerate() {
+            m.fill(C_ZERO);
+            for (f, row) in psi.chunks_exact(d).enumerate() {
+                let h = f ^ r.x;
+                let image = &psi[h * d..(h + 1) * d];
+                let sign = if (h & r.z).count_ones() & 1 == 1 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                for (j, &a) in row.iter().enumerate() {
+                    if a == C_ZERO {
+                        continue;
+                    }
+                    let a = a.conj() * sign;
+                    for (mjk, &c) in m[j * d + j..(j + 1) * d].iter_mut().zip(&image[j..]) {
+                        *mjk += a * c;
+                    }
+                }
+            }
+            for j in 0..d {
+                for k in j..d {
+                    m[j * d + k] *= r.phase;
+                    m[k * d + j] = m[j * d + k].conj();
+                }
+            }
+            for i in 0..n_in {
+                fold_choi_axis(&mut m, 1 << i, 1 << (n_in + i));
+            }
+            for (&row, v) in row_of.iter().zip(&m) {
+                table[row * dim_out + b] += leaf.probability * v.re;
             }
         }
-        Protocol::JointMub => GroupTransfer::Joint {
-            diags: joint_transfer_diagonals(group.num_wires()),
-        },
+    }
+    table
+}
+
+/// In-place change of basis on one reference axis of the flat
+/// `M[j·d + k]` (`k_i` at stride `sk`, `j_i` at stride `sj`): the
+/// quadruple `(m00, m01, m10, m11)` becomes the Pauli traces
+/// `(I, X, Y, Z) = (m00 + m11, m01 + m10, i(m01 − m10), m00 − m11)`.
+fn fold_choi_axis(m: &mut [Complex64], sk: usize, sj: usize) {
+    for base in (0..m.len()).filter(|&i| i & (sk | sj) == 0) {
+        let (m00, m01, m10, m11) = (m[base], m[base + sk], m[base + sj], m[base + sj + sk]);
+        m[base] = m00 + m11;
+        m[base + sk] = m01 + m10;
+        m[base + sj] = Complex64::i() * (m01 - m10);
+        m[base + sj + sk] = m00 - m11;
     }
 }
 
@@ -376,12 +521,13 @@ pub struct FragmentBlockSummary {
     pub incoming: usize,
     /// Outgoing cut wires.
     pub outgoing: usize,
-    /// Compiled prep variants (`4^incoming`).
+    /// Fragment runs compiled: 1, the run on the fragment's Choi state
+    /// (`width + incoming` qubits).
     pub variants: usize,
     /// Entries surviving CSR sparsification, out of `4^(in+out)`.
     pub nnz: usize,
-    /// Largest classical-outcome branch count across variants (1 for a
-    /// unitary fragment; measurement fragments block over each outcome).
+    /// Classical-outcome branches of the Choi run (1 for a unitary
+    /// fragment; measurement fragments block over each outcome).
     pub outcome_branches: usize,
 }
 
@@ -460,9 +606,10 @@ pub struct FragmentBlocks {
 }
 
 impl FragmentBlocks {
-    /// Compiles every fragment variant and every group transfer matrix
-    /// for `plan` against a diagonal (Z/I) `observable`. Deterministic:
-    /// identical plans produce bit-identical blocks.
+    /// Compiles every fragment block (one Choi-state run each) and every
+    /// group transfer matrix for `plan` against a diagonal (Z/I)
+    /// `observable`. Deterministic: identical plans produce bit-identical
+    /// blocks.
     ///
     /// # Panics
     /// Panics when `!supports_contraction(plan)` (with the
@@ -475,7 +622,7 @@ impl FragmentBlocks {
         let circuit = plan.circuit();
         assert_eq!(observable.num_qubits(), circuit.num_qubits());
         assert!(observable.is_diagonal());
-        let transfers: Vec<GroupTransfer> = plan.groups.iter().map(group_transfer).collect();
+        let transfers = group_transfers(&plan.groups);
         let group_wires: Vec<Vec<usize>> = plan
             .groups
             .iter()
@@ -493,7 +640,6 @@ impl FragmentBlocks {
             for (i, &w) in frag.wires.iter().enumerate() {
                 local[w] = i;
             }
-            let width = frag.wires.len().max(1);
             // Ascending (group, slot) — the canonical axis order.
             let mut in_slots: Vec<((usize, usize), usize)> = Vec::new();
             let mut out_slots: Vec<((usize, usize), usize)> = Vec::new();
@@ -511,62 +657,22 @@ impl FragmentBlocks {
             }
             // Z factors terminate on the wire's *last* fragment — any
             // wire still outgoing defers its Z through the cut channel.
-            let z_locals: Vec<usize> = frag
+            let z_local: usize = frag
                 .wires
                 .iter()
                 .filter(|&&w| observable.op(w) == Pauli::Z && !out_wires.contains(&w))
-                .map(|&w| local[w])
-                .collect();
-            let program = CircuitProgram::new(&fragment_circuit(circuit, frag));
-            let n_in = in_slots.len();
-            let n_out = out_slots.len();
-            let dim_out = 1usize << (2 * n_out);
-            let num_variants = 1usize << (2 * n_in);
-            // Column `b` reads out `P_b ⊗ Z_local`: one Pauli string per
-            // column, shared by every variant.
-            let readouts: Vec<PauliString> = (0..dim_out)
-                .map(|b| {
-                    let mut ops = vec![Pauli::I; width];
-                    for &q in &z_locals {
-                        ops[q] = Pauli::Z;
-                    }
-                    for (i, &(_, q)) in out_slots.iter().enumerate() {
-                        ops[q] = Pauli::from_index((b >> (2 * i)) & 3);
-                    }
-                    PauliString::new(ops)
-                })
-                .collect();
-            // Variant `v` prepares incoming slot `i` in `PREPS[digit i of
-            // v]`; its row of `table` holds every readout. Base-4 digit
-            // `n_out + i` of a table index is slot `i`'s prep, the low
-            // `n_out` digits the readout column.
-            let mut outcome_branches = 1usize;
-            let mut table = vec![0.0f64; num_variants * dim_out];
-            let mut preps = vec![StabilizerPrep::Zero; width];
-            for (v, row) in table.chunks_mut(dim_out).enumerate() {
-                for (i, &(_, q)) in in_slots.iter().enumerate() {
-                    preps[q] = PREPS[(v >> (2 * i)) & 3];
-                }
-                let sampler = program.run(&preps);
-                backend.record(&sampler);
-                // Measurement fragments branch over classical outcomes;
-                // the channel expectation is the probability-weighted
-                // sum over the branch leaves (one sub-block per
-                // outcome). A unitary fragment has exactly one leaf.
-                let leaves = sampler.leaves();
-                outcome_branches = outcome_branches.max(leaves.len());
-                for (slot, obs) in row.iter_mut().zip(&readouts) {
-                    *slot = leaves
-                        .iter()
-                        .map(|l| l.probability * l.state.expval_pauli(obs))
-                        .sum();
-                }
-            }
-            // Prep rows → Pauli rows, one incoming axis at a time.
-            for i in 0..n_in {
-                apply_axis_4(&mut table, n_out + i, &PREP_TO_PAULI);
-            }
-            let mut row_ptr = Vec::with_capacity(num_variants + 1);
+                .map(|&w| 1usize << local[w])
+                .sum();
+            let out_qubits: Vec<usize> = out_slots.iter().map(|&(_, q)| q).collect();
+            let in_qubits: Vec<usize> = in_slots.iter().map(|&(_, q)| q).collect();
+            let readouts = Readout::columns(&out_qubits, z_local);
+            let sampler =
+                CircuitProgram::new(&fragment_circuit(circuit, frag)).run_choi(&in_qubits);
+            backend.record(&sampler);
+            let table = choi_block_table(&sampler, in_qubits.len(), &readouts);
+            let dim_out = readouts.len();
+            let num_rows = 1usize << (2 * in_qubits.len());
+            let mut row_ptr = Vec::with_capacity(num_rows + 1);
             let mut cols: Vec<u32> = Vec::new();
             let mut csr_vals: Vec<f64> = Vec::new();
             row_ptr.push(0);
@@ -582,11 +688,11 @@ impl FragmentBlocks {
             summaries.push(FragmentBlockSummary {
                 fragment: fi,
                 width: frag.width(),
-                incoming: n_in,
-                outgoing: n_out,
-                variants: num_variants,
+                incoming: in_slots.len(),
+                outgoing: out_slots.len(),
+                variants: 1,
                 nnz: cols.len(),
-                outcome_branches,
+                outcome_branches: sampler.leaves().len(),
             });
             blocks.push(FragmentBlock {
                 in_slots: in_slots.into_iter().map(|(k, _)| k).collect(),
@@ -612,7 +718,7 @@ impl FragmentBlocks {
         self.transfers.iter().map(|t| t.num_terms()).collect()
     }
 
-    /// Backend aggregation over every compiled fragment variant (the
+    /// Backend aggregation over every fragment's Choi run (the
     /// contracted analogue of the monolithic per-term report). Frontier
     /// and prefix-cache counters stay zero here — they belong to the
     /// sweep that actually evaluates terms ([`FrontierSweep::stats`]).
@@ -964,28 +1070,8 @@ fn build_fused_tail(
     let SweepOp::Apply { axes, .. } = &ops[apply_i] else {
         unreachable!("group_op indexes an Apply op");
     };
-    // The tail functional: run the trailing absorbs on each basis
-    // vector of the frontier before the last apply.
-    let mut tail = vec![0.0f64; dim];
-    let mut scratch = Vec::new();
-    for (e, out) in tail.iter_mut().enumerate() {
-        let mut vals = vec![0.0f64; dim];
-        vals[e] = 1.0;
-        for op in &ops[apply_i + 1..] {
-            let SweepOp::Absorb {
-                fragment,
-                in_pos,
-                rest_pos,
-            } = op
-            else {
-                unreachable!("the last apply is the schedule's final Apply op");
-            };
-            absorb_sparse(&blocks[*fragment], in_pos, rest_pos, &vals, &mut scratch);
-            std::mem::swap(&mut vals, &mut scratch);
-        }
-        debug_assert_eq!(vals.len(), 1);
-        *out = vals[0];
-    }
+    let tail = tail_functional(blocks, &ops[apply_i + 1..]);
+    debug_assert_eq!(tail.len(), dim);
     let mut table = Vec::with_capacity(nt);
     for t in 0..nt {
         let mut w = tail.clone();
@@ -1014,6 +1100,51 @@ fn build_fused_tail(
     Some(table)
 }
 
+/// The linear functional `L` of the trailing absorbs (`L·v` is the
+/// scalar those absorbs leave from the frontier `v`), pulled back from
+/// `[1.0]` through them in reverse: `L_in[o] = Σ_{k ∈ row a(o)} vals[k] ·
+/// L_out[rest(o) | cols[k] << 2·n_rest]`, `O(dim · row nnz)` in all.
+fn tail_functional(blocks: &[FragmentBlock], trailing: &[SweepOp]) -> Vec<f64> {
+    let mut tail = vec![1.0f64];
+    for op in trailing.iter().rev() {
+        let SweepOp::Absorb {
+            fragment,
+            in_pos,
+            rest_pos,
+        } = op
+        else {
+            unreachable!("the last apply is the schedule's final Apply op");
+        };
+        let block = &blocks[*fragment];
+        let n_rest = rest_pos.len();
+        tail = (0..1usize << (2 * (in_pos.len() + n_rest)))
+            .map(|o| {
+                let (a, rest) = split_index(o, in_pos, rest_pos);
+                (block.row_ptr[a]..block.row_ptr[a + 1])
+                    .map(|k| {
+                        block.vals[k] * tail[rest | ((block.cols[k] as usize) << (2 * n_rest))]
+                    })
+                    .sum()
+            })
+            .collect();
+    }
+    tail
+}
+
+/// Splits frontier index `o` into the block row `a` its `in_pos` axes
+/// spell and the index `rest` of its surviving `rest_pos` axes.
+fn split_index(o: usize, in_pos: &[usize], rest_pos: &[usize]) -> (usize, usize) {
+    let mut a = 0usize;
+    for (slot, &p) in in_pos.iter().enumerate() {
+        a |= ((o >> (2 * p)) & 3) << (2 * slot);
+    }
+    let mut rest = 0usize;
+    for (r, &p) in rest_pos.iter().enumerate() {
+        rest |= ((o >> (2 * p)) & 3) << (2 * r);
+    }
+    (a, rest)
+}
+
 /// Contracts one fragment's CSR block into the frontier `vals`, writing
 /// the result to `next` (resized and zeroed in place): sums out the
 /// fragment's incoming axes against the frontier and appends its
@@ -1033,14 +1164,7 @@ fn absorb_sparse(
         if v == 0.0 {
             continue;
         }
-        let mut a = 0usize;
-        for (slot, &p) in in_pos.iter().enumerate() {
-            a |= ((o >> (2 * p)) & 3) << (2 * slot);
-        }
-        let mut rest = 0usize;
-        for (r, &p) in rest_pos.iter().enumerate() {
-            rest |= ((o >> (2 * p)) & 3) << (2 * r);
-        }
+        let (a, rest) = split_index(o, in_pos, rest_pos);
         for k in block.row_ptr[a]..block.row_ptr[a + 1] {
             next[rest | ((block.cols[k] as usize) << (2 * n_rest))] += block.vals[k] * v;
         }
@@ -1087,7 +1211,9 @@ mod tests {
     use super::*;
     use crate::joint::{apply_basis_term, apply_flip_term, JointWireCut};
     use crate::planner::CutPlanner;
-    use qsim::{Circuit, DensityMatrix};
+    use qsim::{Circuit, DensityMatrix, Gate};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ladder(n: usize) -> Circuit {
         let mut c = Circuit::new(n, 0);
@@ -1116,7 +1242,7 @@ mod tests {
     /// sparsification — against density-matrix process tomography of
     /// the fragment circuit: `F[a, b] = Tr[(P_b ⊗ Z_local) ·
     /// E_F(σ_a/2 ⊗ |0…0⟩⟨0…0|)]` with `E_F` run by
-    /// [`qsim::execute_density`], independent of the prep-variant fold.
+    /// [`qsim::execute_density`], independent of the Choi-state readout.
     fn assert_blocks_match_density_tomography(plan: &CutPlan, observable: &PauliString) {
         let blocks = FragmentBlocks::build(plan, observable);
         for (fi, frag) in plan.fragments.iter().enumerate() {
@@ -1334,7 +1460,9 @@ mod tests {
                 kappa: JointWireCut::new(n).kappa(),
             };
             let spec = group.spec();
-            let GroupTransfer::Joint { diags, .. } = group_transfer(&group) else {
+            let Some(GroupTransfer::Joint { diags, .. }) =
+                group_transfers(std::slice::from_ref(&group)).pop()
+            else {
                 panic!("joint group must build a diagonal transfer");
             };
             let dim4 = 1usize << (2 * n);
@@ -1507,5 +1635,255 @@ mod tests {
             s.frontier_ops,
             s.frontier_ops_uncached
         );
+    }
+
+    /// Change of basis from the prep projectors `|0⟩, |1⟩, |+⟩, |+i⟩` to
+    /// halved Paulis (rows `I/X/Y/Z`): `I/2 = ½|0⟩⟨0| + ½|1⟩⟨1|`,
+    /// `X/2 = |+⟩⟨+| − I/2`, `Y/2 = |+i⟩⟨+i| − I/2`,
+    /// `Z/2 = ½|0⟩⟨0| − ½|1⟩⟨1|`.
+    const PREP_TO_PAULI: [[f64; 4]; 4] = [
+        [0.5, 0.5, 0.0, 0.0],
+        [-0.5, -0.5, 1.0, 0.0],
+        [-0.5, -0.5, 0.0, 1.0],
+        [0.5, -0.5, 0.0, 0.0],
+    ];
+
+    /// The four-prep fold, the reference for the Choi-state readout: one
+    /// run per variant, incoming qubit `i` prepared in prep `digit i of
+    /// v` (`|0⟩, |1⟩, |+⟩, |+i⟩`), every column read with `expval_pauli`,
+    /// then [`PREP_TO_PAULI`] along each incoming axis. `readouts.len()`
+    /// must be a power of 4.
+    fn four_prep_table(
+        circuit: &Circuit,
+        in_qubits: &[usize],
+        readouts: &[PauliString],
+    ) -> Vec<f64> {
+        let dim_out = readouts.len();
+        let n_out = dim_out.trailing_zeros() as usize / 2;
+        let mut table = vec![0.0f64; (1usize << (2 * in_qubits.len())) * dim_out];
+        for (v, row) in table.chunks_mut(dim_out).enumerate() {
+            let mut prepped = Circuit::new(circuit.num_qubits(), circuit.num_clbits());
+            for (i, &q) in in_qubits.iter().enumerate() {
+                match (v >> (2 * i)) & 3 {
+                    1 => prepped.x(q),
+                    2 => prepped.h(q),
+                    3 => prepped.h(q).s(q),
+                    _ => &mut prepped,
+                };
+            }
+            prepped.compose(circuit);
+            let sampler = CompiledSampler::compile(&prepped, None);
+            for (slot, obs) in row.iter_mut().zip(readouts) {
+                *slot = sampler
+                    .leaves()
+                    .iter()
+                    .map(|l| l.probability * l.state.expval_pauli(obs))
+                    .sum();
+            }
+        }
+        for i in 0..in_qubits.len() {
+            apply_axis_4(&mut table, n_out + i, &PREP_TO_PAULI);
+        }
+        table
+    }
+
+    /// A seeded random fragment on `width` qubits and 2 classical bits:
+    /// an optional Clifford opener (long enough for the tableau prefix),
+    /// then `gates` rotations, Cliffords and CXs, plus mid-circuit
+    /// measurement, reset and classically conditioned gates when
+    /// `branching`.
+    fn random_fragment(
+        width: usize,
+        opener: bool,
+        gates: usize,
+        branching: bool,
+        rng: &mut StdRng,
+    ) -> Circuit {
+        let mut c = Circuit::new(width, 2);
+        if opener {
+            for q in 0..width {
+                c.h(q).s(q);
+            }
+            for q in 1..width {
+                c.cx(q - 1, q);
+            }
+        }
+        for _ in 0..gates {
+            let q = rng.gen_range(0..width);
+            let theta = 3.0 * rng.gen::<f64>();
+            let bit = rng.gen_range(0..2);
+            match rng.gen_range(0..if branching { 10 } else { 6 }) {
+                0 => c.ry(theta, q),
+                1 => c.rz(theta, q),
+                2 => c.rx(theta, q),
+                3 => c.h(q),
+                4 => c.s(q),
+                5 if width > 1 => c.cx(q, (q + 1 + rng.gen_range(0..width - 1)) % width),
+                5 => c.x(q),
+                6 => c.measure(q, bit),
+                7 => c.reset(q),
+                8 => c.x_if(q, bit),
+                _ => c.gate_if(Gate::Ry(theta), &[q], bit, true),
+            };
+        }
+        c
+    }
+
+    /// Builds the Choi-state block table of `circuit` and checks every
+    /// entry against [`four_prep_table`] to 1e−12. Returns the Choi run.
+    fn assert_choi_matches_four_prep(
+        circuit: &Circuit,
+        in_qubits: &[usize],
+        out_qubits: &[usize],
+        z_local: usize,
+    ) -> CompiledSampler {
+        let readouts = Readout::columns(out_qubits, z_local);
+        let strings: Vec<PauliString> = (0..readouts.len())
+            .map(|b| {
+                let mut ops: Vec<Pauli> = (0..circuit.num_qubits())
+                    .map(|q| {
+                        if (z_local >> q) & 1 == 1 {
+                            Pauli::Z
+                        } else {
+                            Pauli::I
+                        }
+                    })
+                    .collect();
+                for (i, &q) in out_qubits.iter().enumerate() {
+                    ops[q] = Pauli::from_index((b >> (2 * i)) & 3);
+                }
+                PauliString::new(ops)
+            })
+            .collect();
+        let sampler = CircuitProgram::new(circuit).run_choi(in_qubits);
+        let got = choi_block_table(&sampler, in_qubits.len(), &readouts);
+        let want = four_prep_table(circuit, in_qubits, &strings);
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                (g - w).abs() < 1e-12,
+                "in {in_qubits:?} out {out_qubits:?} z {z_local:#b}: entry {i} Choi {g} vs \
+                 four-prep {w}\n{circuit:?}"
+            );
+        }
+        sampler
+    }
+
+    #[test]
+    fn choi_blocks_match_the_four_prep_fold() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut tableau, mut dense, mut branched) = (0, 0, 0);
+        for n_in in 0..=4usize {
+            for trial in 0..4 {
+                let width = (n_in + rng.gen_range(0..3)).max(1);
+                let opener = rng.gen_bool(0.5);
+                let circuit = random_fragment(width, opener, 3 * width + 2, trial > 0, &mut rng);
+                let mut order: Vec<usize> = (0..width).collect();
+                for i in (1..width).rev() {
+                    order.swap(i, rng.gen_range(0..i + 1));
+                }
+                let in_qubits = &order[..n_in];
+                // Outgoing wires may pass straight through from incoming
+                // ones; `Z_local` sits on the remaining wires.
+                let n_out = rng.gen_range(0..width.min(2) + 1);
+                let mut out_qubits: Vec<usize> = order.clone();
+                out_qubits.rotate_left(rng.gen_range(0..width));
+                out_qubits.truncate(n_out);
+                let z_local: usize = (0..width)
+                    .filter(|q| !out_qubits.contains(q) && rng.gen_bool(0.6))
+                    .map(|q| 1usize << q)
+                    .sum();
+                let sampler =
+                    assert_choi_matches_four_prep(&circuit, in_qubits, &out_qubits, z_local);
+                if sampler.clifford_prefix().prefix_len > 0 {
+                    tableau += 1;
+                } else {
+                    dense += 1;
+                }
+                if n_in > 0 && sampler.leaves().len() > 1 {
+                    branched += 1;
+                }
+            }
+        }
+        assert!(
+            tableau > 0 && dense > 0 && branched > 0,
+            "{tableau} / {dense} / {branched}"
+        );
+    }
+
+    #[test]
+    fn choi_blocks_match_the_four_prep_fold_at_max_incoming() {
+        // An 8-wide unitary fragment fed on every wire: 4^8 reference
+        // runs, so the circuit is kept short.
+        let mut rng = StdRng::seed_from_u64(23);
+        let circuit = random_fragment(MAX_INCOMING, false, 6, false, &mut rng);
+        let in_qubits: Vec<usize> = (0..MAX_INCOMING).collect();
+        assert_choi_matches_four_prep(&circuit, &in_qubits, &[], 0b1011_0110);
+    }
+
+    #[test]
+    fn pulled_back_tail_matches_basis_vector_absorbs() {
+        // Fan-out: fragment 0 hands wire 0 to fragment 1 and wire 1 to
+        // fragment 2, so the last group's apply is followed by two
+        // absorbs. The angles give both trailing blocks signed X/Y/Z
+        // rows.
+        let mut c = Circuit::new(4, 0);
+        c.ry(0.4, 0).ry(0.9, 1).cx(0, 1).rz(0.3, 0);
+        c.cx(0, 2).ry(2.5, 2).ry(1.1, 0);
+        c.rx(0.5, 1).cx(1, 3).ry(2.2, 3).rx(0.8, 1);
+        let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
+        let blocks = FragmentBlocks::build(&plan, &PauliString::from_label("ZZZZ"));
+        let sched = &blocks.schedule;
+        assert!(sched.fused_tail.is_some());
+        let trailing = &sched.ops[sched.group_op[plan.groups.len() - 1] + 1..];
+        assert!(trailing.len() >= 2, "{} trailing absorbs", trailing.len());
+        let got = tail_functional(&blocks.blocks, trailing);
+        // The reference: absorb each basis vector of the frontier forward.
+        let mut scratch = Vec::new();
+        let want: Vec<f64> = (0..got.len())
+            .map(|e| {
+                let mut vals = vec![0.0f64; got.len()];
+                vals[e] = 1.0;
+                for op in trailing {
+                    blocks.exec_op(op, &[], &mut vals, &mut scratch);
+                }
+                assert_eq!(vals.len(), 1);
+                vals[0]
+            })
+            .collect();
+        assert!(
+            want.iter().any(|&w| w < -0.1),
+            "tail without a sign {want:?}"
+        );
+        for (e, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!((g - w).abs() < 1e-12, "tail[{e}] = {g}, basis-vector {w}");
+        }
+    }
+
+    #[test]
+    fn choi_width_limit_is_a_named_rule() {
+        // Fragment 0 spans wires 0..24; wires 16..24 then enter fragment
+        // 1, which also spans 24..40: 24 wide with 8 incoming wires is a
+        // 32-qubit Choi run. Only planned, never simulated.
+        let mut c = Circuit::new(40, 0);
+        for q in 0..23 {
+            c.cx(q, q + 1);
+        }
+        for q in 16..24 {
+            c.cx(q + 8, q);
+        }
+        for q in 24..32 {
+            c.cx(q, q + 8);
+        }
+        let plan = CutPlanner::new(24).with_overlap(0.8).plan(&c);
+        assert_eq!(plan.fragments.len(), 2);
+        assert_eq!(plan.fragments[1].width(), 24);
+        assert_eq!(plan.num_cuts(), MAX_INCOMING);
+        let reason = contraction_ineligibility(&plan).expect("32 Choi qubits must be rejected");
+        assert!(
+            reason.contains("fragment 1") && reason.contains("32 qubits"),
+            "{reason}"
+        );
+        assert!(reason.contains("MAX_CHOI_QUBITS"), "{reason}");
     }
 }

@@ -34,10 +34,9 @@
 //!   cuts), κ-crossover NME-vs-MUB protocol choice, and compilation into
 //!   one product-QPD execution plan on the batched samplers.
 //! * [`contract`] — per-fragment tensor-block compilation: each fragment
-//!   compiles once per local boundary-role variant and product terms are
-//!   evaluated by Pauli-transfer contraction (`Σ variants` circuits
-//!   instead of `Π terms`), the planner's default backend for unitary
-//!   plans.
+//!   runs once, on its Choi state, and product terms are evaluated by
+//!   Pauli-transfer contraction (one run per fragment instead of
+//!   `Π terms` circuits), the planner's default backend.
 //! * [`service`] — cutting as a service: an estimation-job engine with a
 //!   content-addressed compiled-plan cache ([`planner::PlanKey`]),
 //!   streaming per-batch partial estimates, sequential

@@ -23,10 +23,10 @@
 //! 4. **Compilation** — [`CompiledPlan::compile`] picks between two
 //!    backends. The default, **contracted** path
 //!    ([`CompiledPlan::compile_contracted`], [`crate::contract`])
-//!    compiles each *fragment* once per local boundary-role variant and
-//!    evaluates every product term by tensor contraction — cost
-//!    `Σ variants(fragment)` instead of `Π terms(group)`, so plans with
-//!    6+ cuts compile where stitching blows up. The **monolithic** path
+//!    runs each *fragment* once, on its Choi state, and evaluates every
+//!    product term by tensor contraction — cost one run per fragment
+//!    instead of `Π terms(group)`, so plans with 6+ cuts compile where
+//!    stitching blows up. The **monolithic** path
 //!    ([`CompiledPlan::compile_monolithic`]) stitches one circuit per
 //!    combination of per-group QPD terms (carrier-qubit threading
 //!    through [`Circuit::compose_mapped`]), reads the term's exact value
@@ -503,19 +503,19 @@ pub enum PlanBackend {
     /// (`Π terms(group)` compiled circuits) — the pristine
     /// differential-testing reference.
     Monolithic,
-    /// Per-fragment tensor blocks compiled once (`Σ variants(fragment)`
-    /// circuits) and contracted per term ([`crate::contract`]).
+    /// Per-fragment tensor blocks compiled once (one Choi-state run per
+    /// fragment) and contracted per term ([`crate::contract`]).
     Contracted,
 }
 
 /// Which simulator backends a compiled plan's circuits ride, aggregated
 /// over all compiled circuit units (see
 /// [`qsim::CompiledSampler::compile`]'s backend split). A *unit* is one
-/// stitched term circuit on the monolithic path and one fragment prep
-/// variant on the contracted path.
+/// stitched term circuit on the monolithic path and one fragment's
+/// Choi-state run on the contracted path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackendReport {
-    /// Compiled circuit units (stitched terms or fragment variants).
+    /// Compiled circuit units (stitched terms or fragment runs).
     pub terms: usize,
     /// Units whose circuit had a tableau-executed prefix.
     pub hybrid_terms: usize,
@@ -544,10 +544,10 @@ pub struct BackendReport {
 impl BackendReport {
     /// Fraction of the compiled units' instructions on the stabilizer
     /// fast path (1.0 for an empty plan, which trivially has no dense
-    /// work). Contracted fragment variants count only the fragment's
-    /// own instructions: their input preps are seeded onto the tableau
-    /// ([`qsim::CircuitProgram::run`]), not executed as gates, so they
-    /// are no longer counted as instructions.
+    /// work). Contracted fragment runs count only the fragment's own
+    /// instructions: the Bell pairs of the Choi state are seeded onto
+    /// the tableau ([`qsim::CircuitProgram::run_choi`]), not executed as
+    /// gates, so they are not counted as instructions.
     pub fn clifford_fraction(&self) -> f64 {
         if self.total_instructions == 0 {
             1.0
@@ -614,8 +614,8 @@ impl CompiledPlan {
     }
 
     /// The **contracted** backend: builds per-fragment tensor blocks
-    /// once ([`FragmentBlocks::build`], `Σ variants(fragment)` compiled
-    /// circuits) and evaluates each of the `Π terms(group)` product
+    /// once ([`FragmentBlocks::build`], one Choi-state run per
+    /// fragment) and evaluates each of the `Π terms(group)` product
     /// terms through the prefix-cached frontier sweep
     /// ([`FragmentBlocks::sweep`]) — no per-term circuit is ever
     /// stitched or simulated, and terms sharing an odometer prefix
@@ -781,7 +781,7 @@ impl CompiledPlan {
     /// Which simulator backends the plan's compiled circuits actually
     /// rode — the fast-path visibility the service surfaces per job.
     /// Aggregated over stitched term circuits (monolithic) or fragment
-    /// prep variants (contracted), and captured at compile time.
+    /// Choi-state runs (contracted), and captured at compile time.
     pub fn backend_report(&self) -> BackendReport {
         self.backend_report
     }
@@ -1313,16 +1313,16 @@ mod tests {
         let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
         let compiled = CompiledPlan::compile_contracted(&plan, &obs);
         let r = compiled.backend_report();
-        let variants: usize = compiled
+        let runs: usize = compiled
             .fragment_summaries()
             .iter()
             .map(|s| s.variants)
             .sum();
-        assert_eq!(r.terms, variants);
+        assert_eq!(r.terms, runs);
         assert!(r.total_instructions > 0);
-        // Σ 4^incoming is far below the Π terms the monolithic path
-        // would compile once the plan has a few cuts.
-        assert!(variants >= plan.fragments.len());
+        // One Choi-state run per fragment, far below the Π terms the
+        // monolithic path would compile once the plan has a few cuts.
+        assert_eq!(runs, plan.fragments.len());
     }
 
     #[test]

@@ -191,9 +191,9 @@ pub struct JobOutcome {
     /// (see [`crate::planner::PlanBackend`]).
     pub backend: PlanBackend,
     /// Circuit units the backend compiled: stitched term circuits
-    /// (monolithic) or fragment prep variants (contracted). The
-    /// contracted count is `Σ variants(fragment)` and stays flat in the
-    /// cut count where the monolithic `Π terms(group)` explodes.
+    /// (monolithic) or fragment Choi-state runs (contracted). The
+    /// contracted count is one per fragment and stays flat in the cut
+    /// count where the monolithic `Π terms(group)` explodes.
     pub compiled_units: usize,
     /// Prefix-cache hits of the contracted backend's odometer sweep —
     /// Σ over terms of the resume depth (0 on the monolithic path).

@@ -19,7 +19,7 @@
 //! `(f, circuit)` grid is sharded by [`crate::grid::ShardedGrid`] — the
 //! CSV is byte-identical for any thread count. Unitary plans compile
 //! through the **contracted fragment-block backend**
-//! (`wirecut::contract`, cost `Σ variants(fragment)`), so the cut count
+//! (`wirecut::contract`, one Choi-state run per fragment), so the cut count
 //! no longer drives an exponential stitching bill; circuits are still
 //! deterministically resampled into a bounded cut band so the sweep's κ
 //! (and hence its shot noise) stays comparable across rows (the

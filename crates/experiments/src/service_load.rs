@@ -141,7 +141,7 @@ pub fn build_jobs(config: &ServiceLoadConfig) -> Vec<EstimationJob> {
 /// trailing columns surface the plan's compilation backend per
 /// [`wirecut::service::JobOutcome`]: whether the cached plan rode the
 /// contracted fragment-block path, how many circuit units it compiled
-/// (`Σ variants(fragment)` when contracted — the quantity the
+/// (one Choi-state run per fragment when contracted — the quantity the
 /// compiled-plan cache amortises across the fleet), what fraction of
 /// odometer digits its prefix-cached sweep served from the partial
 /// frontier stack, and the resulting frontier-multiplication payoff

@@ -16,8 +16,9 @@
 //!   identical to [`run_shot`] but orders of magnitude faster for the
 //!   paper's experiment, which takes millions of shots on the same
 //!   subcircuits. [`CircuitProgram`] keeps the circuit analysis (Clifford
-//!   prefix, fused dense suffix) so many stabilizer product inputs can
-//!   be compiled without repeating it.
+//!   prefix, fused dense suffix) and also runs it on the circuit's Choi
+//!   state ([`CircuitProgram::run_choi`]), the input whose one run
+//!   determines the whole channel.
 //!
 //! # The two sampling paths of [`CompiledSampler`]
 //!
@@ -45,6 +46,7 @@ use crate::density::DensityMatrix;
 use crate::fuse::{fuse_single_qubit_runs, FusionStats};
 use crate::stabilizer::{CliffordPrefix, Tableau};
 use crate::statevector::StateVector;
+use qlinalg::{c64, C_ZERO};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -495,26 +497,12 @@ pub fn computational_basis_index(sv: &StateVector) -> Option<usize> {
     idx
 }
 
-/// A single-qubit stabilizer state a [`CircuitProgram`] input prepares
-/// on one qubit. `|0⟩, |1⟩, |+⟩, |+i⟩` are tomographically complete:
-/// their projectors span the single-qubit operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StabilizerPrep {
-    /// `|0⟩`.
-    Zero,
-    /// `|1⟩ = X|0⟩`.
-    One,
-    /// `|+⟩ = H|0⟩`.
-    Plus,
-    /// `|+i⟩ = S·H|0⟩`.
-    PlusI,
-}
-
-/// A circuit analysed once for many runs from different stabilizer
-/// product inputs: the Clifford-prefix/dense-suffix split and the fused
-/// dense suffix are computed at construction, and each
-/// [`run`](Self::run) only seeds its input onto the tableau and walks
-/// the branch tree. [`CompiledSampler::compile`] is the one-run case.
+/// A circuit analysed once: the Clifford-prefix/dense-suffix split and
+/// the fused dense suffix are computed at construction, and a run only
+/// seeds its input and walks the branch tree.
+/// [`run_choi`](Self::run_choi) runs it on half of a maximally
+/// entangled state; [`CompiledSampler::compile`] is the one-run case
+/// from a computational-basis input.
 #[derive(Clone, Debug)]
 pub struct CircuitProgram {
     num_qubits: usize,
@@ -563,24 +551,57 @@ impl CircuitProgram {
         }
     }
 
-    /// Enumerates all measurement branches from the product input
-    /// `⊗_q preps[q]`, seeded onto the tableau as Clifford gates: the
-    /// Clifford prefix runs there, and each branch converts to a dense
-    /// state for the fused suffix.
-    pub fn run(&self, preps: &[StabilizerPrep]) -> CompiledSampler {
-        assert_eq!(preps.len(), self.num_qubits);
-        let mut tab = Tableau::new(self.num_qubits);
-        for (q, prep) in preps.iter().enumerate() {
-            match prep {
-                StabilizerPrep::Zero => {}
-                StabilizerPrep::One => tab.apply_x(q),
-                StabilizerPrep::Plus => tab.apply_h(q),
-                StabilizerPrep::PlusI => {
-                    tab.apply_h(q);
-                    tab.apply_s(q);
-                }
-            }
+    /// Enumerates all measurement branches of the circuit's **Choi
+    /// state** on the listed `inputs` qubits: input `i` gets a reference
+    /// qubit `n + i`, appended after the circuit's own `n` qubits, and
+    /// the pair starts in `(|00⟩ + |11⟩)/√2`; every other qubit starts in
+    /// `|0⟩`. The leaf states hold `n + inputs.len()` qubits, reference
+    /// index in the high bits. Branching on this state is the channel
+    /// itself: a leaf's probability is `Tr[K_m K_m†] / 2^inputs.len()`
+    /// for its Kraus operator `K_m`.
+    ///
+    /// With a Clifford prefix the pairs are seeded onto the tableau
+    /// (widened to `n + inputs.len()` qubits); otherwise the Choi state
+    /// is built densely. The pairs are not instructions, so the report
+    /// ([`CompiledSampler::clifford_prefix`]) counts only the circuit's.
+    ///
+    /// # Panics
+    /// Panics when an input repeats or is out of range, or when
+    /// `n + inputs.len() > 30` (the dense state would be too large).
+    pub fn run_choi(&self, inputs: &[usize]) -> CompiledSampler {
+        let n = self.num_qubits;
+        let width = n + inputs.len();
+        assert!(width <= 30, "Choi state of {width} qubits is too large");
+        for (i, &q) in inputs.iter().enumerate() {
+            assert!(q < n && !inputs[..i].contains(&q), "bad Choi input {q}");
         }
+        if self.prefix.prefix_len > 0 {
+            let mut tab = Tableau::new(width);
+            for (i, &q) in inputs.iter().enumerate() {
+                tab.apply_h(q);
+                tab.apply_cx(q, n + i);
+            }
+            return self.run_tableau(tab);
+        }
+        let mut amps = vec![C_ZERO; 1 << width];
+        let amp = c64(0.5f64.powi(inputs.len() as i32).sqrt(), 0.0);
+        for j in 0..1usize << inputs.len() {
+            let mut index = j << n;
+            for (i, &q) in inputs.iter().enumerate() {
+                index |= ((j >> i) & 1) << q;
+            }
+            amps[index] = amp;
+        }
+        self.finish(vec![Branch {
+            p: 1.0,
+            clbits: 0,
+            state: StateVector::from_amplitudes(width, amps),
+        }])
+    }
+
+    /// Runs the Clifford prefix on the tableau `tab` and finishes each
+    /// branch densely.
+    fn run_tableau(&self, tab: Tableau) -> CompiledSampler {
         let branches = tableau_branches(
             &self.clifford,
             vec![TableauBranch {
@@ -628,8 +649,8 @@ impl CircuitProgram {
 /// fused per wire ([`fuse_single_qubit_runs`]). The backend choice
 /// depends only on the circuit, never on runtime state, so compiled
 /// plans stay byte-deterministic. A [`CircuitProgram`] holds that
-/// analysis for reuse across many stabilizer product inputs; `compile`
-/// is its one-input case. [`compile_dense`](Self::compile_dense)
+/// analysis; `compile` is its run from one basis input, and
+/// [`CircuitProgram::run_choi`] its run on the Choi state. [`compile_dense`](Self::compile_dense)
 /// is the pristine all-dense, no-fusion reference path the differential
 /// suite checks the hybrid against.
 #[derive(Clone, Debug)]
@@ -660,16 +681,11 @@ impl CompiledSampler {
         let program = CircuitProgram::analyse(circuit, basis.is_some());
         match basis {
             Some(idx) if program.prefix.prefix_len > 0 => {
-                let preps: Vec<StabilizerPrep> = (0..circuit.num_qubits())
-                    .map(|q| {
-                        if (idx >> q) & 1 == 1 {
-                            StabilizerPrep::One
-                        } else {
-                            StabilizerPrep::Zero
-                        }
-                    })
-                    .collect();
-                program.run(&preps)
+                let mut tab = Tableau::new(circuit.num_qubits());
+                for q in (0..circuit.num_qubits()).filter(|q| (idx >> q) & 1 == 1) {
+                    tab.apply_x(q);
+                }
+                program.run_tableau(tab)
             }
             // All dense: the program has no tableau prefix to seed.
             _ => program.finish(vec![Branch {
@@ -1217,5 +1233,47 @@ mod tests {
         input.apply_gate(&Gate::H, &[0]);
         let sampler = CompiledSampler::compile(&c, Some(&input));
         assert_eq!(sampler.clifford_prefix().prefix_len, 0);
+    }
+
+    #[test]
+    fn choi_runs_match_dense_compilation_of_the_widened_circuit() {
+        // One circuit with a Clifford prefix (pairs seeded onto the
+        // tableau), one without (Choi state built densely); both measure,
+        // feed forward and reset.
+        let mut hybrid = Circuit::new(3, 1);
+        hybrid.h(0).cx(0, 1).s(1).cx(1, 2).ry(0.7, 2).measure(2, 0);
+        hybrid.x_if(1, 0).rz(0.4, 1);
+        let mut dense = Circuit::new(3, 1);
+        dense.ry(0.3, 0).cx(0, 1).measure(1, 0).z_if(2, 0);
+        dense.reset(1).rx(1.1, 1).cx(2, 1);
+        for (c, tableau) in [(hybrid, true), (dense, false)] {
+            let inputs = [2, 0];
+            let choi = CircuitProgram::new(&c).run_choi(&inputs);
+            assert_eq!(choi.clifford_prefix().prefix_len > 0, tableau);
+            assert_eq!(choi.clifford_prefix().total, c.len());
+            let n = c.num_qubits();
+            let width = n + inputs.len();
+            let mut input = StateVector::new(width);
+            for (i, &q) in inputs.iter().enumerate() {
+                input.apply_gate(&Gate::H, &[q]);
+                input.apply_gate(&Gate::CX, &[q, n + i]);
+            }
+            let wide = c.widened(width, c.num_clbits());
+            let reference = CompiledSampler::compile_dense(&wide, Some(&input));
+            assert_eq!(choi.leaves().len(), reference.leaves().len());
+            for (got, want) in choi.leaves().iter().zip(reference.leaves()) {
+                assert_eq!(got.clbits, want.clbits);
+                assert!((got.probability - want.probability).abs() < 1e-12);
+                let overlap = got
+                    .state
+                    .amplitudes()
+                    .iter()
+                    .zip(want.state.amplitudes())
+                    .map(|(a, b)| a.conj() * *b)
+                    .fold(C_ZERO, |acc, z| acc + z)
+                    .abs();
+                assert!((overlap - 1.0).abs() < 1e-10, "leaf overlap {overlap}");
+            }
+        }
     }
 }

@@ -49,7 +49,7 @@ pub use dag::{
 pub use density::DensityMatrix;
 pub use executor::{
     computational_basis_index, execute_density, execute_density_branches, run_shot, run_shots,
-    BranchLeaf, CircuitProgram, CompiledSampler, Counts, DensityBranch, Shot, StabilizerPrep,
+    BranchLeaf, CircuitProgram, CompiledSampler, Counts, DensityBranch, Shot,
 };
 pub use fuse::{fuse_single_qubit_runs, FusionStats};
 pub use gate::Gate;

@@ -108,8 +108,8 @@ fn contracted_terms_match_monolithic_and_uncut_on_randomized_circuits() {
 #[test]
 fn six_cut_plan_compiles_and_estimates_through_contraction() {
     // The acceptance bar: a ≥6-cut plan from `random_unitary_circuit`
-    // compiles through the contracted path (Σ 4^incoming fragment
-    // variants) where the monolithic path would stitch Π terms ≥ 3^6
+    // compiles through the contracted path (one Choi-state run per
+    // fragment) where the monolithic path would stitch Π terms ≥ 3^6
     // monolithic circuits, and its estimate is 5σ-correct. The cut
     // count is banded to 6..=8 — spec evaluation is Θ(Π terms) even
     // contracted (one frontier contraction per term), and the first
@@ -132,7 +132,8 @@ fn six_cut_plan_compiles_and_estimates_through_contraction() {
     let compiled = CompiledPlan::compile(&plan, &observable);
     assert_eq!(compiled.backend(), PlanBackend::Contracted);
     assert!(compiled.spec.len() >= 3usize.pow(6));
-    // Compilation cost is Σ variants, far below the Π terms of the spec.
+    // Compilation cost is one run per fragment, far below the Π terms of
+    // the spec.
     let variants: usize = compiled
         .fragment_summaries()
         .iter()

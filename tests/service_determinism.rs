@@ -225,14 +225,14 @@ fn contracted_sample_stream_is_pinned() {
             service(),
             ladder_job,
             0x3ff0_5b99_caa9_c9d1u64,
-            0x3ff0_0000_0000_0004u64,
+            0x3ff0_0000_0000_0006u64,
             vec![574u64, 555, 231, 585, 591, 229, 95, 95, 45],
         ),
         (
             CutService::new(random_planner),
             random_job,
             0x3f82_2b1e_db61_3cca,
-            0x3f89_ebbc_7c15_3e02,
+            0x3f89_ebbc_7c15_3e44,
             vec![522, 522, 207, 522, 522, 207, 207, 207, 84],
         ),
     ];
@@ -355,9 +355,9 @@ fn eight_cut_ladder_outputs_are_pinned() {
     assert_eq!(
         (values, coefficients, exact),
         (
-            0x5fd0_23a0_be6b_a4aa,
+            0xe720_b521_d400_4687,
             0xb4ec_f4e2_803a_8d0d,
-            0x3fdf_3279_6ff8_8aa0
+            0x3fdf_3279_6ff8_8aae
         ),
         "term values, coefficients, exact value"
     );
